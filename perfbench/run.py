@@ -1,6 +1,6 @@
 """qborrow benchmark: one workload, one seed, one JSON result.
 
-    python3 perfbench/run.py --workload adder --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload adder --seed 1 --seconds 15 --trace 0
     python3 perfbench/run.py --smoke
 
 Run from anywhere inside a checkout; the program is imported from the
@@ -9,23 +9,27 @@ layer map are described in `perfbench/README.md`; names and units come from
 `BENCHMARK.json`.
 
 `--trace 0` reports the end-to-end metrics:
-  * setup_s: median over fresh processes of importing qborrow, generating
-    the seeded inputs and loading the expected answers; SETUP_PROBES of them
-    run before the measuring process and as many after it, and the measuring
-    process adds its own;
+  * setup_s: median over SETUP_PROBES probes, run after the measuring
+    process, when process starts run warm (see CLI_WARMUP_S in worker.py).
+    A probe is the faster of two fresh processes, one pinned to each of two
+    CPUs, that import qborrow, generate the seeded inputs and load the
+    expected answers: the two vCPUs often differ in speed by half for
+    minutes at a time, and unpinned probes all took the speed of one of them;
   * everything else from one worker process that runs only this workload.
-`--trace 1` reports the per-layer metrics: an import probe in fresh
-interpreters, then a worker that alternates untraced and traced passes.
+`--trace 1` reports the per-layer metrics: a worker that alternates
+untraced and traced passes, then an import probe in fresh interpreters.
 
 The last line of standard output is the JSON result.  Exit code 0 means the
 run finished and every output passed the correctness gate; 1 means the gate
 failed (the result says how), 2 means no result could be produced.
 `--smoke` runs every workload at its smallest size, traced and untraced,
-through the same gate.
+through the same gate; its last line is correct only if every run was, and
+sums their attempted and failed counts.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -37,7 +41,9 @@ ROOT = HERE.parent
 WORKER = HERE / "worker.py"
 WORKLOADS = ("adder", "mcx", "mutants", "cli-small")
 
-SETUP_PROBES = 3  # before the measuring process, and again after it
+SETUP_PROBES = 3
+# two CPUs a set-up probe runs on, one after the other
+PROBE_CPUS = sorted(os.sched_getaffinity(0))[:2] if hasattr(os, "sched_getaffinity") else []
 IMPORT_PROBES = 5
 RUN_LIMIT_S = 170.0  # the whole run, probes included
 
@@ -59,7 +65,7 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=WORKLOADS)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=20.0)
+    p.add_argument("--seconds", type=float, default=15.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--smoke", action="store_true")
     args = p.parse_args(argv)
@@ -97,26 +103,35 @@ def import_probe(deadline: float) -> dict:
     return out
 
 
+def setup_probe(cmd, deadline: float) -> float:
+    """The faster set-up of one process on each of PROBE_CPUS."""
+    if len(PROBE_CPUS) < 2:
+        return child_json(cmd, deadline)["setup_s"]
+    allowed = os.sched_getaffinity(0)
+    times = []
+    try:
+        for cpu in PROBE_CPUS:
+            os.sched_setaffinity(0, {cpu})  # the child inherits it
+            times.append(child_json(cmd, deadline)["setup_s"])
+    finally:
+        os.sched_setaffinity(0, allowed)
+    return min(times)
+
+
 def run_one(workload, seed, seconds, trace, smoke, deadline) -> dict:
     extra = ["--smoke"] if smoke else []
-
-    def setup_probes():
-        if trace or smoke:
-            return []
-        cmd = worker_cmd(workload, seed, extra=["--setup-only"])
-        return [child_json(cmd, deadline)["setup_s"] for _ in range(SETUP_PROBES)]
-
+    doc = child_json(worker_cmd(workload, seed, seconds, trace, extra), deadline)
+    if "metrics" not in doc:
+        return doc
+    # the probes run after the measuring process, when process starts run warm
     if trace:
         probes = [import_probe(deadline) for _ in range(1 if smoke else IMPORT_PROBES)]
-    setups = setup_probes()
-    doc = child_json(worker_cmd(workload, seed, seconds, trace, extra), deadline)
-    setups += setup_probes()
-    if "metrics" in doc:
-        if trace:
-            doc["metrics"]["import.qborrow_ms"] = statistics.median(p["ms"] for p in probes)
-            doc["metrics"]["import.numpy_loaded"] = int(all(p["numpy"] for p in probes))
-        else:
-            doc["metrics"]["setup_s"] = statistics.median(setups + [doc["setup_s"]])
+        doc["metrics"]["import.qborrow_ms"] = statistics.median(p["ms"] for p in probes)
+        doc["metrics"]["import.numpy_loaded"] = int(all(p["numpy"] for p in probes))
+    else:
+        cmd = worker_cmd(workload, seed, extra=["--setup-only"])
+        setups = [setup_probe(cmd, deadline) for _ in range(0 if smoke else SETUP_PROBES)]
+        doc["metrics"]["setup_s"] = statistics.median(setups or [doc["setup_s"]])
     return doc
 
 
@@ -160,7 +175,7 @@ def main(argv=None) -> int:
         [(w, t) for w in WORKLOADS for t in (0, 1)]
         if args.smoke else [(args.workload, args.trace)]
     )
-    ok = True
+    results = []
     for workload, trace in runs:
         try:
             doc = run_one(workload, args.seed, args.seconds, trace, args.smoke, deadline)
@@ -169,9 +184,17 @@ def main(argv=None) -> int:
             return 2
         result, errors = result_line(doc, spec["per_layer" if trace else "end_to_end"])
         report(workload, doc, result, errors)
-        ok = ok and result["correct"]
+        results.append(result)
+    if args.smoke:
+        # one line for all the smoke runs: correct only if every run was
+        result = {
+            "correct": all(r["correct"] for r in results),
+            "attempted": sum(r["attempted"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "metrics": {},
+        }
     print(json.dumps(result))
-    return 0 if ok else 1
+    return 0 if result["correct"] else 1
 
 
 if __name__ == "__main__":

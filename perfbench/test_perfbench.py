@@ -92,3 +92,39 @@ def test_tracer_wraps_each_function_wherever_it_is_bound():
     _, root_total, root_self = tracer.layer_times(tr.spans)
     assert root_total > 0 and root_self < root_total
     assert tr.counts["satcore.calls.sat"] == 1  # leaky: cond1 is the constant false, cond2 sat
+
+
+def test_untraced_work_inside_verify_circuit_fails_the_traced_run():
+    def layers(self_ms):
+        times = dict.fromkeys(tracer.TIME_METRICS, 0.0)
+        times["satcore.solve_ms.unsat"] = 100.0 - self_ms
+        times["cli.driver_self_ms"] = self_ms
+        counts = dict.fromkeys(tracer.COUNT_METRICS, 0)
+        return [(times, counts, 100.0, 0.0)]
+
+    times = {False: {"p": [1.0]}, True: {"p": [1.1]}}
+    _, problems = worker.per_layer(times, layers(1.0))
+    assert problems == []
+    _, problems = worker.per_layer(times, layers(10.0))
+    assert len(problems) == 1 and "cli.driver_self_ms" in problems[0]
+
+
+def test_cli_processes_run_without_qborrow_settings(monkeypatch):
+    monkeypatch.setenv("QBORROW_ORACLE", "1")
+    runner = worker.CliProcesses([])
+    try:
+        assert not any(k.startswith("QBORROW_") for k in runner.env)
+    finally:
+        runner.close()
+
+
+def test_a_setup_probe_gives_back_the_cpus_it_pinned():
+    import os
+    from time import monotonic
+
+    import run
+
+    before = os.sched_getaffinity(0)
+    cmd = run.worker_cmd("adder", 1, extra=["--setup-only", "--smoke"])
+    assert run.setup_probe(cmd, monotonic() + 60) > 0
+    assert os.sched_getaffinity(0) == before

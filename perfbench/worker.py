@@ -6,7 +6,8 @@
 `run.py` starts this; it is not meant to be run by hand.  A process per
 workload makes `peak_rss_mb` belong to that workload alone.
 
-A run is one warm-up program, then whole passes over the seeded program set
+A run is one warm-up program (for cli-small, CLI_WARMUP_S of untimed passes),
+then whole passes over the seeded program set
 (one closed-loop client: each program starts after the previous one ends),
 each pass in a new seeded order, until `--seconds` have passed, at least
 MIN_PASSES passes are done and at least MIN_SAMPLES programs are pooled.
@@ -47,6 +48,11 @@ MIN_SAMPLES = 100  # programs verified per run, over all passes
 MIN_PASSES = 3  # each program's fastest time is taken over at least this many
 MIN_TRACED_PASSES = 2  # counters must repeat exactly between them
 HARD_LIMIT_S = 150.0  # stop adding passes past this, samples or not
+# Process starts run slow for tens of seconds after the machine idles or runs
+# one long process: the first cli-small run of each ten-seed series took
+# 1.84-1.94 s against medians of 1.28-1.46 s.  cli-small warms up this long.
+CLI_WARMUP_S = 10.0
+VERIFY_SELF_MAX_PCT = 5.0  # untraced work inside verify_circuit, of program time
 
 SUMMARY_RE = re.compile(r"^(\d+ safe, \d+ unsafe, \d+ skipped, \d+ unknown) in [0-9.]+ ms$")
 VERDICT_RE = re.compile(r"^(\S+): (Safe|Unsafe via (cond[12])(?:, witness \{(.*)\})?|Unknown.*)")
@@ -192,6 +198,8 @@ class InProcess:
             tr.call(tracer.REPLAY, check_report, args)
         return elapsed
 
+    warmup_s = 0.0
+
     def peak_rss_mb(self) -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
@@ -218,7 +226,10 @@ class CliProcesses:
             self.paths[p.pid] = path
             if p.exit_code != 2:
                 self.circuits[p.pid] = elaborator.elaborate_source(p.source)
-        self.env = dict(os.environ)
+        # the CLI reads QBORROW_* variables (oracle, jobs, solver, budgets,
+        # report files); drop them so it runs at its defaults, as the
+        # in-process workloads do
+        self.env = {k: v for k, v in os.environ.items() if not k.startswith("QBORROW_")}
         self.env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC)] + ([self.env["PYTHONPATH"]] if self.env.get("PYTHONPATH") else [])
         )
@@ -243,6 +254,8 @@ class CliProcesses:
             spans_out.unlink()
             tr.call(tracer.REPLAY, check_cli, args)
         return elapsed
+
+    warmup_s = CLI_WARMUP_S
 
     def peak_rss_mb(self) -> float:
         return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
@@ -295,8 +308,12 @@ def run_pass(runner, order, gate: Gate, tr=None) -> list[float]:
 def measure(runner, programs, seconds: float, trace: bool, smoke: bool, seed: int):
     gate = Gate()
     rng = random.Random(seed)
-    # warm-up: the smallest program, untimed but gated
+    # warm-up: the smallest program, then whole passes for runner.warmup_s;
+    # untimed but gated
+    t_warm = perf_counter()
     run_pass(runner, [min(programs, key=lambda p: len(p.source))], gate)
+    while not smoke and perf_counter() - t_warm < runner.warmup_s:
+        run_pass(runner, programs, gate)
 
     passes = {False: 0, True: 0}
     times = {False: {}, True: {}}  # program id -> its time in every pass
@@ -379,6 +396,15 @@ def per_layer(times, layers) -> tuple[dict, list[str]]:
     out["trace.coverage_pct"] = coverage
     if coverage < 95.0:
         problems.append(f"layer self times cover {coverage:.1f}% of traced program time (< 95%)")
+    # the root's only children are parse, elaborate and verify_circuit, so
+    # coverage is near 100% by construction; work left unwrapped inside
+    # verify_circuit shows up as its self time instead
+    untraced_pct = 100.0 * sum(t["cli.driver_self_ms"] for t, _, _, _ in layers) / (root_total or 1.0)
+    if untraced_pct > VERIFY_SELF_MAX_PCT:
+        problems.append(
+            f"cli.driver_self_ms is {untraced_pct:.1f}% of traced program time "
+            f"(> {VERIFY_SELF_MAX_PCT}%): a layer inside verify_circuit is not traced"
+        )
     return out, problems
 
 
