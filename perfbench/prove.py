@@ -18,6 +18,7 @@ makes it exit 1.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -54,6 +55,10 @@ def run_seeds(workload: str, seeds: list[int], seconds: int) -> tuple[list, bool
             continue
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         run["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+        # the machine's speed during the run, as run.py prints it
+        cal = re.search(r"calibration took ([0-9.e+-]+) ms", proc.stdout)
+        if cal:
+            run["calibration_ms"] = float(cal.group(1))
     return runs, ok
 
 

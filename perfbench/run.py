@@ -9,15 +9,15 @@ layer map are described in `perfbench/README.md`; names and units come from
 `BENCHMARK.json`.
 
 `--trace 0` reports the end-to-end metrics:
-  * setup_s: median over SETUP_PROBES probes, run after the measuring
-    process, when process starts run warm (see CLI_WARMUP_S in worker.py).
-    A probe is the faster of two fresh processes, one pinned to each of two
-    CPUs, that import qborrow, generate the seeded inputs and load the
-    expected answers: the two vCPUs often differ in speed by half for
-    minutes at a time, and unpinned probes all took the speed of one of them;
+  * setup_s: median over SETUP_PROBES fresh processes, run after the
+    measuring process, that import qborrow, generate the seeded inputs and
+    load the expected answers; each is taken at the reference speed of
+    `calib.py`, against the calibration processes run before and after it;
   * everything else from one worker process that runs only this workload.
 `--trace 1` reports the per-layer metrics: a worker that alternates
 untraced and traced passes, then an import probe in fresh interpreters.
+The whole run, and every process it starts, stays on one CPU, so that the
+calibrations and the work they calibrate see the same CPU.
 
 The last line of standard output is the JSON result.  Exit code 0 means the
 run finished and every output passed the correctness gate; 1 means the gate
@@ -36,14 +36,14 @@ import sys
 from pathlib import Path
 from time import monotonic
 
+import calib
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKER = HERE / "worker.py"
 WORKLOADS = ("adder", "mcx", "mutants", "cli-small")
 
-SETUP_PROBES = 3
-# two CPUs a set-up probe runs on, one after the other
-PROBE_CPUS = sorted(os.sched_getaffinity(0))[:2] if hasattr(os, "sched_getaffinity") else []
+SETUP_PROBES = 7
 IMPORT_PROBES = 5
 RUN_LIMIT_S = 170.0  # the whole run, probes included
 
@@ -103,19 +103,20 @@ def import_probe(deadline: float) -> dict:
     return out
 
 
-def setup_probe(cmd, deadline: float) -> float:
-    """The faster set-up of one process on each of PROBE_CPUS."""
-    if len(PROBE_CPUS) < 2:
-        return child_json(cmd, deadline)["setup_s"]
-    allowed = os.sched_getaffinity(0)
-    times = []
-    try:
-        for cpu in PROBE_CPUS:
-            os.sched_setaffinity(0, {cpu})  # the child inherits it
-            times.append(child_json(cmd, deadline)["setup_s"])
-    finally:
-        os.sched_setaffinity(0, allowed)
-    return min(times)
+def setup_probes(cmd, n: int, deadline: float) -> list[float]:
+    """Set-up times of n fresh processes, at the reference speed; one
+    calibration process before the first, then one after each."""
+    cals, out = [calib.spawn_ms()], []
+    for _ in range(n):
+        setup_s = child_json(cmd, deadline)["setup_s"]
+        cals.append(calib.spawn_ms())
+        out.append(setup_s * calib.scale(cals[-2], cals[-1], calib.REF_SPAWN_MS))
+    return out
+
+
+def pin_to_one_cpu() -> None:
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def run_one(workload, seed, seconds, trace, smoke, deadline) -> dict:
@@ -130,7 +131,7 @@ def run_one(workload, seed, seconds, trace, smoke, deadline) -> dict:
         doc["metrics"]["import.numpy_loaded"] = int(all(p["numpy"] for p in probes))
     else:
         cmd = worker_cmd(workload, seed, extra=["--setup-only"])
-        setups = [setup_probe(cmd, deadline) for _ in range(0 if smoke else SETUP_PROBES)]
+        setups = setup_probes(cmd, 0 if smoke else SETUP_PROBES, deadline)
         doc["metrics"]["setup_s"] = statistics.median(setups or [doc["setup_s"]])
     return doc
 
@@ -156,7 +157,9 @@ def result_line(doc: dict, spec: list) -> dict:
 def report(workload: str, doc: dict, result: dict, errors: list) -> None:
     print(
         f"# {workload}: {doc['passes']} passes of {doc['programs_per_pass']} programs, "
-        f"{doc['samples']} untraced programs timed"
+        f"{doc['samples']} untraced programs timed; calibration took "
+        f"{doc['calibration_ms']:.4g} ms (reference {doc['ref_ms']:g} ms), "
+        f"so times as measured are {doc['calibration_ms'] / doc['ref_ms']:.3f}x those below"
     )
     for name, m in result["metrics"].items():
         print(f"{workload:<10} {name:<30} {m['value']:>14.6g} {m['unit']}")
@@ -171,6 +174,7 @@ def main(argv=None) -> int:
         print(f"error: no qborrow sources under {ROOT / 'src'}", file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    pin_to_one_cpu()
     runs = (
         [(w, t) for w in WORKLOADS for t in (0, 1)]
         if args.smoke else [(args.workload, args.trace)]

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -102,10 +104,10 @@ def test_untraced_work_inside_verify_circuit_fails_the_traced_run():
         counts = dict.fromkeys(tracer.COUNT_METRICS, 0)
         return [(times, counts, 100.0, 0.0)]
 
-    times = {False: {"p": [1.0]}, True: {"p": [1.1]}}
-    _, problems = worker.per_layer(times, layers(1.0))
+    passes = {False: [1.0], True: [1.1]}
+    _, problems = worker.per_layer(passes, layers(1.0))
     assert problems == []
-    _, problems = worker.per_layer(times, layers(10.0))
+    _, problems = worker.per_layer(passes, layers(10.0))
     assert len(problems) == 1 and "cli.driver_self_ms" in problems[0]
 
 
@@ -118,13 +120,49 @@ def test_cli_processes_run_without_qborrow_settings(monkeypatch):
         runner.close()
 
 
-def test_a_setup_probe_gives_back_the_cpus_it_pinned():
-    import os
+def test_setup_probes_are_scaled_to_the_reference_speed(monkeypatch):
     from time import monotonic
 
+    import calib
     import run
 
-    before = os.sched_getaffinity(0)
+    # a machine at half the reference speed: calibrations take twice as long
+    monkeypatch.setattr(calib, "spawn_ms", lambda reps=1, env=None: 2 * calib.REF_SPAWN_MS)
     cmd = run.worker_cmd("adder", 1, extra=["--setup-only", "--smoke"])
-    assert run.setup_probe(cmd, monotonic() + 60) > 0
-    assert os.sched_getaffinity(0) == before
+    monkeypatch.setattr(run, "child_json", lambda cmd, deadline: {"setup_s": 0.3})
+    assert run.setup_probes(cmd, 3, monotonic() + 60) == [0.15] * 3
+
+
+def test_each_program_is_scaled_by_the_calibrations_beside_it():
+    class Runner:
+        ref_ms = 10.0
+        cal_every_s = 0.25
+        cals = iter([10.0, 20.0, 40.0])
+        reps = []
+
+        def calibrate(self, reps):
+            self.reps.append(reps)
+            return next(self.cals)
+
+        def run_one(self, p, gate, tr=None):
+            return p.source
+
+    order = [inputs.Program(str(i), t) for i, t in enumerate((0.1, 0.2, 0.3))]
+    runner = Runner()
+    scaled, cals = worker.run_pass(runner, order, worker.Gate())
+    assert cals == [10.0, 20.0, 40.0]
+    # 0.1 and 0.2 ran between the calibrations of 10 and 20 ms, 0.3 between 20 and 40
+    assert scaled == pytest.approx([0.1 / 1.5, 0.2 / 1.5, 0.3 / 3.0])
+    # each calibration after programs lasts a fifth of their time: 0.3 s -> 6 x 10 ms
+    assert runner.reps == [1, 6, 6]
+
+
+def test_cli_peak_rss_is_that_of_the_cli_processes_alone():
+    prog = inputs.Program("leaky", inputs.LEAKY_SRC, {"a": False}, exit_code=1, skipped=4)
+    runner = worker.CliProcesses([prog])
+    try:
+        gate = worker.Gate()
+        assert runner.run_one(prog, gate) > 0 and gate.failed == 0
+        assert runner.peak_rss_mb() > 5
+    finally:
+        runner.close()

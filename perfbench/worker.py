@@ -6,21 +6,22 @@
 `run.py` starts this; it is not meant to be run by hand.  A process per
 workload makes `peak_rss_mb` belong to that workload alone.
 
-A run is one warm-up program (for cli-small, CLI_WARMUP_S of untimed passes),
-then whole passes over the seeded program set
-(one closed-loop client: each program starts after the previous one ends),
-each pass in a new seeded order, until `--seconds` have passed, at least
-MIN_PASSES passes are done and at least MIN_SAMPLES programs are pooled.
+A run is one untimed warm-up program, then whole passes over the seeded
+program set (one closed-loop client: each program starts after the previous
+one ends), each pass in a new seeded order, until `--seconds` have passed,
+at least MIN_PASSES passes are done and at least MIN_SAMPLES programs are
+pooled.
 
-A program's time is its fastest time across the run's passes.  The machine's
-speed drifts by 20% and more for seconds to minutes at a time, and pooled
-percentiles followed that drift (their spread across seeds reached 0.29 of
-the median), while the fastest of several passes repeats within a few
-percent.  wall_s is the sum of the program times, verify_ms.p50 and .p90 are
-percentiles over them.  With `--trace 1`, untraced and traced passes
-alternate, and the difference between their pass times is the tracing
-overhead.  The correctness gate checks every program right after it is
-timed; timing excludes the gate.  The first failure ends the run.
+Every program time is taken at the reference speed of `calib.py`: a run
+calibrates before its first pass, then after every `cal_every_s` of program
+time and at the end of each pass, and each program's time is scaled by the
+mean of the calibrations before and after it.  verify_ms.p50 and .p90 are
+percentiles over the program times pooled over the run's untraced passes;
+wall_s is the median over those passes of the pass's summed program times.  With `--trace 1`,
+untraced and traced passes alternate, and the difference between their pass
+times is the tracing overhead.  The correctness gate checks every program
+right after it is timed; timing excludes the gate.  The first failure ends
+the run.
 """
 
 import argparse
@@ -34,9 +35,12 @@ import shutil
 import statistics
 import subprocess
 import sys
+import threading
+from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
+import calib
 import tracer
 
 HERE = Path(__file__).resolve().parent
@@ -44,14 +48,21 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench"
 
-MIN_SAMPLES = 100  # programs verified per run, over all passes
-MIN_PASSES = 3  # each program's fastest time is taken over at least this many
+# programs verified per run, over all passes.  60, not the 100 that would
+# put ten programs beyond p90: runs are bound by this count on adder, mcx
+# and cli-small, and at 100 one run of each of the four workloads took
+# about 155 s together in a slow spell, so 22 runs of each would overrun
+# an hour
+MIN_SAMPLES = 60
+# with three, adder p50 (the n=16 programs, six samples) spread 0.09 over ten runs
+MIN_PASSES = 4
 MIN_TRACED_PASSES = 2  # counters must repeat exactly between them
 HARD_LIMIT_S = 150.0  # stop adding passes past this, samples or not
-# Process starts run slow for tens of seconds after the machine idles or runs
-# one long process: the first cli-small run of each ten-seed series took
-# 1.84-1.94 s against medians of 1.28-1.46 s.  cli-small warms up this long.
-CLI_WARMUP_S = 10.0
+# A calibration after a stretch of programs repeats the reference task for
+# about this share of the stretch's time, so that long programs are matched
+# by a long look at the machine's speed: consecutive 20 ms loops read 11.5,
+# 18.2 and 16.3 ms.
+CAL_SHARE = 0.2
 VERIFY_SELF_MAX_PCT = 5.0  # untraced work inside verify_circuit, of program time
 
 SUMMARY_RE = re.compile(r"^(\d+ safe, \d+ unsafe, \d+ skipped, \d+ unknown) in [0-9.]+ ms$")
@@ -198,7 +209,10 @@ class InProcess:
             tr.call(tracer.REPLAY, check_report, args)
         return elapsed
 
-    warmup_s = 0.0
+    # a 20 ms loop after every 0.1 s of programs, repeated after longer ones
+    calibrate = staticmethod(calib.kernel_ms)
+    ref_ms = calib.REF_KERNEL_MS
+    cal_every_s = 0.1
 
     def peak_rss_mb(self) -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -234,6 +248,7 @@ class CliProcesses:
             [str(SRC)] + ([self.env["PYTHONPATH"]] if self.env.get("PYTHONPATH") else [])
         )
         self.child_spans: list[dict] = []  # one entry per traced process
+        self.peak_rss_kb = 0  # largest untraced CLI process
 
     def run_one(self, p, gate: Gate, tr=None) -> float:
         """Time one CLI process from spawn to exit, then gate its output."""
@@ -243,9 +258,25 @@ class CliProcesses:
             cmd = [sys.executable, "-m", "qborrow.cli", "verify", path]
         else:
             cmd = [sys.executable, str(HERE / "cli_child.py"), str(spans_out), p.pid, "verify", path]
-        t0 = perf_counter()
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=self.env, timeout=60)
-        elapsed = perf_counter() - t0
+        out, err = self.dir / "stdout", self.dir / "stderr"
+        with out.open("wb") as fo, err.open("wb") as fe:
+            t0 = perf_counter()
+            child = subprocess.Popen(cmd, stdout=fo, stderr=fe, env=self.env)
+            # wait4, not wait: the peak RSS of this process alone, which the
+            # calibration processes beside it do not mask
+            watchdog = threading.Timer(60.0, child.kill)
+            watchdog.start()
+            try:
+                _, status, usage = os.wait4(child.pid, 0)
+            finally:
+                watchdog.cancel()
+            elapsed = perf_counter() - t0
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if tr is None:
+            self.peak_rss_kb = max(self.peak_rss_kb, usage.ru_maxrss)
+        proc = subprocess.CompletedProcess(
+            cmd, child.returncode, out.read_text(), err.read_text()
+        )
         args = (gate, p, proc, self.circuits.get(p.pid), self.cli.witness_violates)
         if tr is None:
             check_cli(*args)
@@ -255,10 +286,16 @@ class CliProcesses:
             tr.call(tracer.REPLAY, check_cli, args)
         return elapsed
 
-    warmup_s = CLI_WARMUP_S
+    # a fresh interpreter that imports what the CLI imports, about 180 ms,
+    # after every two seconds of CLI processes: once a pass
+    cal_every_s = 2.0
+    ref_ms = calib.REF_SPAWN_MS
+
+    def calibrate(self, reps: int) -> float:
+        return calib.spawn_ms(reps, self.env)
 
     def peak_rss_mb(self) -> float:
-        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        return self.peak_rss_kb / 1024.0
 
     def close(self):
         shutil.rmtree(self.dir, ignore_errors=True)
@@ -293,91 +330,104 @@ def pass_layers(runner, tr, gate_unused: int):
     return times, counts, root_total, root_self
 
 
-def run_pass(runner, order, gate: Gate, tr=None) -> list[float]:
-    times = []
-    for p in order:
+def run_pass(runner, order, gate: Gate, tr=None, cal_before=None) -> tuple[list[float], list[float]]:
+    """Run the programs in order; their times at the reference speed, and
+    the calibrations, starting with `cal_before` when the pass follows
+    another straight away."""
+    cals = [runner.calibrate(1) if cal_before is None else cal_before]
+    groups = []  # program times between two calibrations
+    pending = []
+    for i, p in enumerate(order):
         # start every program from the same heap: garbage left by the one
         # before would otherwise make the collector's work depend on order
         gc.collect()
         if tr is not None:
             tr.program = p.pid
-        times.append(runner.run_one(p, gate, tr))
-    return times
+        pending.append(runner.run_one(p, gate, tr))
+        since = sum(pending)
+        if since >= runner.cal_every_s or i == len(order) - 1:
+            groups.append(pending)
+            cals.append(runner.calibrate(max(1, round(CAL_SHARE * since * 1000.0 / runner.ref_ms))))
+            pending = []
+    scaled = []
+    for i, times in enumerate(groups):
+        factor = calib.scale(cals[i], cals[i + 1], runner.ref_ms)
+        scaled += [t * factor for t in times]
+    return scaled, cals
 
 
-def measure(runner, programs, seconds: float, trace: bool, smoke: bool, seed: int):
-    gate = Gate()
+@dataclass
+class Measured:
+    gate: Gate
+    # summed program times of each pass, at the reference speed; untraced
+    # passes under False, traced ones under True
+    passes: dict = field(default_factory=lambda: {False: [], True: []})
+    samples: list = field(default_factory=list)  # untraced program times
+    cals: list = field(default_factory=list)  # every calibration, in ms
+    layers: list = field(default_factory=list)  # one pass_layers() per traced pass
+    spans_out: list = field(default_factory=list)
+
+
+def measure(runner, programs, seconds: float, trace: bool, smoke: bool, seed: int) -> Measured:
+    m = Measured(Gate())
     rng = random.Random(seed)
-    # warm-up: the smallest program, then whole passes for runner.warmup_s;
-    # untimed but gated
-    t_warm = perf_counter()
-    run_pass(runner, [min(programs, key=lambda p: len(p.source))], gate)
-    while not smoke and perf_counter() - t_warm < runner.warmup_s:
-        run_pass(runner, programs, gate)
+    # warm-up: the smallest program, untimed but gated
+    run_pass(runner, [min(programs, key=lambda p: len(p.source))], m.gate)
 
-    passes = {False: 0, True: 0}
-    times = {False: {}, True: {}}  # program id -> its time in every pass
-    samples: list[float] = []
-    layers = []
-    spans_out = []
     t_start = perf_counter()
     traced = False
+    cal_before = None
     while True:
         order = list(programs)
         rng.shuffle(order)  # interleave sizes so a slow spell hits all of them
         if traced:
             tr = tracer.Tracer()
             tr.install()
-            unused_before = gate.cond2_unused
+            unused_before = m.gate.cond2_unused
             try:
-                pass_times = run_pass(runner, order, gate, tr)
+                pass_times, cals = run_pass(runner, order, m.gate, tr, cal_before)
             finally:
                 tr.uninstall()
-            layers.append(pass_layers(runner, tr, gate.cond2_unused - unused_before))
-            spans_out.append(tr.spans)
+            m.layers.append(pass_layers(runner, tr, m.gate.cond2_unused - unused_before))
+            m.spans_out.append(tr.spans)
         else:
-            pass_times = run_pass(runner, order, gate)
-            samples.extend(pass_times)
-        passes[traced] += 1
-        for p, t in zip(order, pass_times):
-            times[traced].setdefault(p.pid, []).append(t)
-        if gate.failed:
+            pass_times, cals = run_pass(runner, order, m.gate, cal_before=cal_before)
+            m.samples += pass_times
+        m.passes[traced].append(sum(pass_times))
+        m.cals += cals[cal_before is not None:]
+        cal_before = cals[-1]
+        if m.gate.failed:
             break
         elapsed = perf_counter() - t_start
         if trace:
             traced = not traced
-            done = min(passes.values()) >= MIN_TRACED_PASSES
+            done = min(map(len, m.passes.values())) >= MIN_TRACED_PASSES
         else:
-            done = len(samples) >= MIN_SAMPLES and passes[False] >= MIN_PASSES
+            done = len(m.samples) >= MIN_SAMPLES and len(m.passes[False]) >= MIN_PASSES
         if not smoke:
             done = done and elapsed >= seconds
         elif not trace:
             done = True
         if done or elapsed >= HARD_LIMIT_S:
             break
-    return gate, passes, times, samples, layers, spans_out
+    return m
 
 
-def pass_time(times: dict) -> float:
-    """One pass at the machine's undisturbed speed: the sum over programs of
-    each program's fastest time."""
-    return sum(min(ts) for ts in times.values())
-
-
-def end_to_end(gate: Gate, times, runner) -> dict:
+def end_to_end(m: Measured, runner) -> dict:
+    gate = m.gate
     decided = 1.0 - gate.undecided / gate.attempted_qubits if gate.attempted_qubits else 1.0
-    best = [1000.0 * min(ts) for ts in times[False].values()]
+    ms = [1000.0 * t for t in m.samples]
     return {
-        "wall_s": pass_time(times[False]),
-        "verify_ms.p50": statistics.median(best),
-        "verify_ms.p90": statistics.quantiles(best, n=10, method="inclusive")[-1]
-        if len(best) >= 2 else best[0],
+        "wall_s": statistics.median(m.passes[False]),
+        "verify_ms.p50": statistics.median(ms),
+        "verify_ms.p90": statistics.quantiles(ms, n=10, method="inclusive")[-1]
+        if len(ms) >= 2 else ms[0],
         "peak_rss_mb": runner.peak_rss_mb(),
         "decided_share": decided,
     }
 
 
-def per_layer(times, layers) -> tuple[dict, list[str]]:
+def per_layer(passes: dict, layers) -> tuple[dict, list[str]]:
     problems = []
     counts = layers[0][1]
     for i, (_, c, _, _) in enumerate(layers[1:], 2):
@@ -388,8 +438,8 @@ def per_layer(times, layers) -> tuple[dict, list[str]]:
     out.update({k: v for k, v in counts.items() if k != "boolform.cond2_built"})
     built = counts["boolform.cond2_built"]
     out["boolform.cond2_useful_ratio"] = 1.0 - counts["boolform.cond2_unused"] / built if built else 1.0
-    untraced = pass_time(times[False])
-    out["trace.overhead_pct"] = 100.0 * (pass_time(times[True]) - untraced) / untraced
+    untraced = statistics.median(passes[False])
+    out["trace.overhead_pct"] = 100.0 * (statistics.median(passes[True]) - untraced) / untraced
     root_total = sum(r for _, _, r, _ in layers)
     root_self = sum(s for _, _, _, s in layers)
     coverage = 100.0 * (1.0 - root_self / root_total) if root_total else 100.0
@@ -437,24 +487,25 @@ def main(argv=None) -> int:
 
     runner = (CliProcesses if args.workload == "cli-small" else InProcess)(programs)
     try:
-        gate, passes, times, samples, layers, spans_out = measure(
-            runner, programs, args.seconds, bool(args.trace), args.smoke, args.seed
-        )
+        m = measure(runner, programs, args.seconds, bool(args.trace), args.smoke, args.seed)
+        traced_passes = len(m.passes[True])
         doc = {
             "setup_s": setup_s,
             "programs_per_pass": len(programs),
-            "passes": passes[False] + passes[True],
-            "attempted": len(samples) + passes[True] * len(programs),
-            "failed": gate.failed,
-            "errors": gate.errors,
-            "samples": len(samples),
+            "passes": len(m.passes[False]) + traced_passes,
+            "attempted": len(m.samples) + traced_passes * len(programs),
+            "failed": m.gate.failed,
+            "errors": m.gate.errors,
+            "samples": len(m.samples),
+            "calibration_ms": statistics.median(m.cals),
+            "ref_ms": runner.ref_ms,
         }
-        if args.trace and layers and times[False]:
-            doc["metrics"], problems = per_layer(times, layers)
+        if args.trace and m.layers and m.passes[False]:
+            doc["metrics"], problems = per_layer(m.passes, m.layers)
             doc["errors"] += problems
-            write_spans(args.workload, args.seed, spans_out)
-        elif not args.trace and samples:
-            doc["metrics"] = end_to_end(gate, times, runner)
+            write_spans(args.workload, args.seed, m.spans_out)
+        elif not args.trace and m.samples:
+            doc["metrics"] = end_to_end(m, runner)
     finally:
         runner.close()
     print(json.dumps(doc))
