@@ -7,11 +7,11 @@ oracle path, so agreement between the two means something.
 
 import numpy as np
 
-from qborrow import (
+from qborrow import elaborate_source
+from qborrow.oracle import (
     FIVE_STATES,
     check_bell_preservation,
     check_state_restoration,
-    elaborate_source,
     exhaustive_safe,
     permutation,
     reduced_density,

@@ -2,15 +2,15 @@
 """End-to-end verification with machine-readable reports.
 
 Runs the checker on a safe and an unsafe program, prints the per-qubit
-verdicts, and replays the counterexample on the brute-force simulator to
+verdicts, and replays the counterexample through the classical semantics to
 show the witness is real.
 """
 
 import json
 
 from qborrow import elaborate_source, verify_circuit
-from qborrow.cli import witness_violates
-from qborrow.oracle import apply_classical
+from qborrow.elaborator import apply_classical
+from qborrow.verify import witness_violates
 
 SAFE = """\
 borrow@ q[3];

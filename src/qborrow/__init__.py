@@ -3,8 +3,8 @@
 The library parses a small imperative gate language, tracks each qubit's
 value as a Boolean formula, and decides with a SAT solver whether borrowed
 qubits are restored exactly, independent of their initial state. A
-brute-force simulator over basis permutations provides ground truth at
-small sizes.
+brute-force simulator over basis permutations, in `qborrow.oracle`, provides
+ground truth at small sizes; it is the only module that needs numpy.
 
 Typical use:
 
@@ -14,41 +14,10 @@ Typical use:
 
 __version__ = "0.1.0"
 
-from .errors import QborrowError, SourceError
-from .frontend import (
-    LexError,
-    ParseError,
-    ProgramAst,
-    Token,
-    parse,
-    parse_source,
-    print_program,
-    tokenize,
-)
-from .elaborator import (
-    BorrowBlock,
-    DuplicateOperand,
-    ElabError,
-    FlatCircuit,
-    IfMeasure,
-    Init,
-    McxGate,
-    NotGate,
-    QubitId,
-    QubitRole,
-    Seq,
-    Skip,
-    Unitary,
-    WhileMeasure,
-    elaborate,
-    elaborate_source,
-    idle,
-    seq,
-)
+from .frontend import parse_source, print_program, tokenize
+from .elaborator import ElabError, elaborate, elaborate_source
 from .boolform import (
-    BoolExpr,
     BoolStore,
-    FormulaState,
     apply_gate,
     cond_restore_plus,
     cond_restore_zero,
@@ -61,8 +30,6 @@ from .boolform import (
 )
 from .satcore import (
     Cnf,
-    ResourceLimit,
-    SolveResult,
     check_sat,
     emit_dimacs,
     emit_smtlib,
@@ -70,52 +37,16 @@ from .satcore import (
     solve,
     tseitin,
 )
-from .oracle import (
-    FIVE_STATES,
-    OracleVerdict,
-    TooManyQubits,
-    apply_classical,
-    check_bell_preservation,
-    check_state_restoration,
-    exhaustive_safe,
-    permutation,
-    reduced_density,
-    simulate_statevector,
-)
-from .benchgen import adder_source, mcx_source
+from .verify import verify_circuit
 
 __all__ = [
-    "QborrowError",
-    "SourceError",
-    "LexError",
-    "ParseError",
-    "Token",
-    "ProgramAst",
     "tokenize",
-    "parse",
     "parse_source",
     "print_program",
     "ElabError",
-    "DuplicateOperand",
-    "QubitId",
-    "QubitRole",
-    "NotGate",
-    "McxGate",
-    "FlatCircuit",
     "elaborate",
     "elaborate_source",
-    "Skip",
-    "Init",
-    "Unitary",
-    "Seq",
-    "IfMeasure",
-    "WhileMeasure",
-    "BorrowBlock",
-    "seq",
-    "idle",
-    "BoolExpr",
     "BoolStore",
-    "FormulaState",
     "init_state",
     "track",
     "apply_gate",
@@ -126,33 +57,11 @@ __all__ = [
     "cond_restore_zero",
     "cond_restore_plus",
     "Cnf",
-    "SolveResult",
-    "ResourceLimit",
     "tseitin",
     "solve",
     "check_sat",
     "emit_dimacs",
     "parse_dimacs",
     "emit_smtlib",
-    "OracleVerdict",
-    "TooManyQubits",
-    "FIVE_STATES",
-    "apply_classical",
-    "permutation",
-    "exhaustive_safe",
-    "simulate_statevector",
-    "reduced_density",
-    "check_state_restoration",
-    "check_bell_preservation",
-    "adder_source",
-    "mcx_source",
     "verify_circuit",
 ]
-
-
-def verify_circuit(*args, **kwargs):
-    """Library entry point for .cli.verify_circuit (imported lazily so the
-    core modules stay importable without CLI plumbing)."""
-    from .cli import verify_circuit as impl
-
-    return impl(*args, **kwargs)

@@ -4,8 +4,6 @@ Both emit a fixed program text with only the size constant substituted, so
 generated files are stable inputs for benchmarking and regression diffs.
 """
 
-from .elaborator import elaborate_source
-
 # Carry-ripple incrementer on q[1..n] using the dirty helpers a[1..n-1];
 # the second half mirrors the first to uncompute them.
 _ADDER = """\
@@ -36,6 +34,8 @@ for i = 2 to (n - 1) {{
     X[q[i]];
     CNOT[q[i], a[i]];
 }}
+release a;
+release q;
 """
 
 # m-controlled NOT on controls q[1..m] (spread over q[1..n] with the odd
@@ -154,6 +154,8 @@ CCNOT[q[2], q[4], q[5]];
 for i = 3 to (m - 1) {{
     CCNOT[q[2 * i - 1], q[2 * i], q[2 * i + 1]];
 }}
+release t;
+release q;
 """
 
 
@@ -185,11 +187,3 @@ def adder_gate_count(n: int) -> int:
 
 def mcx_gate_count(m: int) -> int:
     return 16 * (m - 2)
-
-
-def _selfcheck(kind: str, size: int) -> None:
-    """Generated text must elaborate cleanly; used by tests and `gen`."""
-    c = elaborate_source(generate(kind, size))
-    expect = adder_gate_count(size) if kind == "adder" else mcx_gate_count(size)
-    if len(c.gates) != expect:
-        raise AssertionError(f"{kind}({size}): {len(c.gates)} gates, expected {expect}")

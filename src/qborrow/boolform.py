@@ -13,7 +13,6 @@ structural equality is node identity and the x XOR x = 0 cancellation that
 keeps benchmark formulas small happens automatically.
 """
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -75,32 +74,29 @@ class BoolStore:
     def __init__(self, max_nodes: int = 10_000_000):
         self.max_nodes = max_nodes
         self._table: dict = {}
-        self._lock = threading.RLock()
         self._n_nodes = 0
-        self._sub_cache: dict = {}
         self.false = self._intern("false", (), None)
         self.true = self._intern("true", (), None)
 
     def _intern(self, op: str, args: tuple, qubit) -> BoolExpr:
         key = (op, args, qubit)
-        with self._lock:
-            node = self._table.get(key)
-            if node is not None:
-                return node
-            if self._n_nodes >= self.max_nodes:
-                raise FormulaSizeError(
-                    f"formula store exceeded the {self.max_nodes}-node cap"
-                )
-            if op == "var":
-                shash = (_SALT["var"] ^ _fnv(qubit.label)) & _MASK
-            else:
-                shash = _SALT[op]
-                for a in args:
-                    shash = ((shash ^ a.shash) * _FNV_PRIME) & _MASK
-            node = BoolExpr(op, args, qubit, shash, self._n_nodes)
-            self._table[key] = node
-            self._n_nodes += 1
+        node = self._table.get(key)
+        if node is not None:
             return node
+        if self._n_nodes >= self.max_nodes:
+            raise FormulaSizeError(
+                f"formula store exceeded the {self.max_nodes}-node cap"
+            )
+        if op == "var":
+            shash = (_SALT["var"] ^ _fnv(qubit.label)) & _MASK
+        else:
+            shash = _SALT[op]
+            for a in args:
+                shash = ((shash ^ a.shash) * _FNV_PRIME) & _MASK
+        node = BoolExpr(op, args, qubit, shash, self._n_nodes)
+        self._table[key] = node
+        self._n_nodes += 1
+        return node
 
     def __len__(self) -> int:
         return self._n_nodes
@@ -216,9 +212,14 @@ class BoolStore:
     def or_(self, children: Iterable[BoolExpr]) -> BoolExpr:
         return self.not_(self.and_([self.not_(c) for c in children]))
 
-    def substitute(self, e: BoolExpr, qubit: QubitId, value: bool) -> BoolExpr:
-        """Replace Var(qubit) by a constant; untouched subtrees keep identity."""
-        cache = self._sub_cache.setdefault((qubit, bool(value)), {})
+    def substitute(
+        self, e: BoolExpr, qubit: QubitId, value: bool, memo: dict | None = None
+    ) -> BoolExpr:
+        """Replace Var(qubit) by a constant; untouched subtrees keep identity.
+
+        `memo` maps nodes already rewritten for this same qubit and value to
+        their results; calls that pass one dict share that work."""
+        cache = {} if memo is None else memo
         constant = self.true if value else self.false
         stack = [e]
         while stack:
@@ -414,13 +415,16 @@ def cond_restore_plus(q: QubitId, s: FormulaState) -> BoolExpr:
     requires, hence the name.
     """
     store = s.store
+    # one memo per constant, shared by all outputs: their formulas share subtrees
+    memo0: dict = {}
+    memo1: dict = {}
     disjuncts = []
     for other in sorted(s.formulas, key=lambda x: x.gid):
         if other == q:
             continue
         b = s[other]
         delta = store.xor(
-            [store.substitute(b, q, False), store.substitute(b, q, True)]
+            [store.substitute(b, q, False, memo0), store.substitute(b, q, True, memo1)]
         )
         if delta is not store.false:
             disjuncts.append(delta)

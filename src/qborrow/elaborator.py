@@ -147,6 +147,23 @@ def gate_operands(g: Gate) -> tuple[QubitId, ...]:
     return g.controls + (g.target,)
 
 
+def apply_classical(c: FlatCircuit, x: tuple[int, ...]) -> tuple[int, ...]:
+    """Run the circuit as a classical function on one bit tuple (bit i is
+    the value of the qubit with global id i)."""
+    if len(x) != c.n_qubits:
+        raise ValueError(f"expected {c.n_qubits} bits, got {len(x)}")
+    bits = list(x)
+    for g in c.gates:
+        if isinstance(g, NotGate):
+            bits[g.target.gid] ^= 1
+        elif isinstance(g, McxGate):
+            if all(bits[ctrl.gid] for ctrl in g.controls):
+                bits[g.target.gid] ^= 1
+        else:
+            raise TypeError(f"not a gate: {g!r}")
+    return tuple(bits)
+
+
 def dump_gates(c: FlatCircuit) -> str:
     """One gate per line, e.g. `CCNOT a.1 q.2 a.2`."""
     lines = []

@@ -14,7 +14,8 @@ sampling; they define ground truth for the acceptance tests.
 
 import numpy as np
 
-from .elaborator import FlatCircuit, McxGate, NotGate, QubitId
+from .elaborator import FlatCircuit, NotGate, QubitId
+from .elaborator import apply_classical  # noqa: F401  (the classical reference, re-exported)
 from .errors import QborrowError
 
 EXHAUSTIVE_CAP = 20
@@ -56,22 +57,6 @@ def pack_basis(x: BasisState) -> int:
 
 def unpack_basis(idx: int, n: int) -> BasisState:
     return tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
-
-
-def apply_classical(c: FlatCircuit, x: BasisState) -> BasisState:
-    """Run the circuit as a classical function on one bit tuple."""
-    if len(x) != c.n_qubits:
-        raise ValueError(f"expected {c.n_qubits} bits, got {len(x)}")
-    bits = list(x)
-    for g in c.gates:
-        if isinstance(g, NotGate):
-            bits[g.target.gid] ^= 1
-        elif isinstance(g, McxGate):
-            if all(bits[ctrl.gid] for ctrl in g.controls):
-                bits[g.target.gid] ^= 1
-        else:
-            raise TypeError(f"not a gate: {g!r}")
-    return tuple(bits)
 
 
 def permutation(c: FlatCircuit) -> np.ndarray:

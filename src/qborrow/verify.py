@@ -1,0 +1,298 @@
+"""Verification driver: decide the safety of every borrowed qubit.
+
+For each borrow-verified qubit of an elaborated circuit, build cond1 and
+cond2 from the tracked formulas and decide both, with the internal CDCL
+solver or an external SMT-LIB2 solver.  Either condition satisfiable means
+Unsafe; both unsatisfiable means Safe; a budget that runs out means Unknown.
+"""
+
+import json
+import os
+import shlex
+import subprocess
+import tempfile
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+
+from . import __version__
+from .boolform import BoolExpr, cond_restore_plus, cond_restore_zero, count_nodes, track
+from .elaborator import FlatCircuit, QubitId, apply_classical
+from .satcore import (
+    DEFAULT_BUDGET_CONFLICTS,
+    DEFAULT_BUDGET_SECONDS,
+    ResourceLimit,
+    SizeCap,
+    emit_dimacs,
+    emit_smtlib,
+    solve,
+    tseitin,
+)
+
+# process exit codes, documented in cli.py
+EXIT_SAFE = 0
+EXIT_UNSAFE = 1
+EXIT_ERROR = 2
+EXIT_UNKNOWN = 3
+EXIT_DISAGREE = 4
+
+
+@dataclass
+class Verdict:
+    qubit: str
+    status: str  # safe | unsafe | skipped | unknown
+    violated: str | None = None  # cond1 | cond2
+    witness: dict[str, bool] | None = None
+    budget: str | None = None
+    solve_ms: float = 0.0
+    formula_nodes: int = 0
+    cnf_vars: int = 0
+    cnf_clauses: int = 0
+
+    def to_dict(self):
+        return {
+            "qubit": self.qubit,
+            "status": self.status,
+            "violated": self.violated,
+            "witness": self.witness,
+            "budget": self.budget,
+            "solve_ms": round(self.solve_ms, 3),
+            "formula_nodes": self.formula_nodes,
+            "cnf_vars": self.cnf_vars,
+            "cnf_clauses": self.cnf_clauses,
+        }
+
+
+@dataclass
+class Report:
+    program: str
+    n_qubits: int
+    n_gates: int
+    verdicts: list[Verdict] = field(default_factory=list)
+    total_ms: float = 0.0
+    version: str = __version__
+    config: dict = field(default_factory=dict)
+
+    def to_dict(self):
+        return {
+            "program": self.program,
+            "version": self.version,
+            "qubits": self.n_qubits,
+            "gates": self.n_gates,
+            "config": self.config,
+            "verdicts": [v.to_dict() for v in self.verdicts],
+            "total_ms": round(self.total_ms, 3),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
+
+
+def report_exit_code(report: Report) -> int:
+    statuses = [v.status for v in report.verdicts]
+    if "unsafe" in statuses:
+        return EXIT_UNSAFE
+    if "unknown" in statuses:
+        return EXIT_UNKNOWN
+    return EXIT_SAFE
+
+
+# ---------------------------------------------------------------------------
+# deciding one condition
+
+
+@dataclass
+class Decision:
+    """The outcome of one condition: sat, unsat, or unknown with the budget
+    that ran out (time, conflicts, size, exec or output)."""
+
+    status: str  # sat | unsat | unknown
+    ms: float
+    witness: dict[str, bool] | None = None  # internal sat answers only
+    budget: str | None = None
+    cnf_vars: int = 0
+    cnf_clauses: int = 0
+
+
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
+
+
+def _decide_internal(e: BoolExpr, budget_conflicts: int, budget_seconds: float) -> Decision:
+    t0 = time.perf_counter()
+    try:
+        cnf, root = tseitin(e)
+        res = solve(
+            cnf,
+            root,
+            budget_conflicts=budget_conflicts,
+            budget_seconds=budget_seconds,
+        )
+    except ResourceLimit as exc:
+        return Decision("unknown", _ms_since(t0), budget=exc.reason)
+    except SizeCap:
+        return Decision("unknown", _ms_since(t0), budget="size")
+    witness = {q.label: v for q, v in res.model.items()} if res.is_sat else None
+    return Decision(
+        res.status, _ms_since(t0), witness, cnf_vars=cnf.n_vars, cnf_clauses=len(cnf.clauses)
+    )
+
+
+def _run_solver(argv: list[str], budget_seconds: float) -> Decision:
+    """Run an external solver; it must print a line that is exactly `sat`
+    or `unsat`."""
+    t0 = time.perf_counter()
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=budget_seconds)
+    except subprocess.TimeoutExpired:
+        return Decision("unknown", _ms_since(t0), budget="time")
+    except OSError:
+        return Decision("unknown", _ms_since(t0), budget="exec")
+    ms = _ms_since(t0)
+    # match whole lines: "unsat" contains "sat" as a substring
+    for line in proc.stdout.splitlines():
+        if line.strip() in ("sat", "unsat"):
+            return Decision(line.strip(), ms)
+    return Decision("unknown", ms, budget="output")
+
+
+def _decide_external(
+    e: BoolExpr, cmd: list[str], budget_seconds: float, script_path: Path | None
+) -> Decision:
+    """Decide with an external solver on an emitted script.  Without a
+    script path the script goes to a temporary file, removed afterwards."""
+    if script_path is not None:
+        return _run_solver(cmd + [str(script_path)], budget_seconds)
+    tmp = tempfile.NamedTemporaryFile(mode="w", suffix=".smt2", delete=False, prefix="qborrow.")
+    try:
+        with tmp:
+            tmp.write(emit_smtlib(e))
+        return _run_solver(cmd + [tmp.name], budget_seconds)
+    finally:
+        os.unlink(tmp.name)
+
+
+def _verdict(q: QubitId, c1: BoolExpr, c2: BoolExpr, decide) -> Verdict:
+    """cond2 is decided only when cond1 is not sat."""
+    nodes = count_nodes(c1) + count_nodes(c2)
+    d1 = decide(c1, q, "cond1")
+    if d1.status == "sat":
+        return Verdict(
+            q.label, "unsafe", violated="cond1", witness=d1.witness, solve_ms=d1.ms,
+            formula_nodes=nodes, cnf_vars=d1.cnf_vars, cnf_clauses=d1.cnf_clauses,
+        )
+    d2 = decide(c2, q, "cond2")
+    stats = dict(
+        solve_ms=d1.ms + d2.ms,
+        formula_nodes=nodes,
+        cnf_vars=d1.cnf_vars + d2.cnf_vars,
+        cnf_clauses=d1.cnf_clauses + d2.cnf_clauses,
+    )
+    if d2.status == "sat":
+        return Verdict(q.label, "unsafe", violated="cond2", witness=d2.witness, **stats)
+    if d1.status == "unsat" and d2.status == "unsat":
+        return Verdict(q.label, "safe", **stats)
+    budget = d1.budget if d1.status == "unknown" else d2.budget
+    return Verdict(q.label, "unknown", budget=budget, **stats)
+
+
+# ---------------------------------------------------------------------------
+# the driver
+
+
+def witness_violates(c: FlatCircuit, q: QubitId, witness: dict[str, bool], which: str) -> bool:
+    """Replay a SAT witness through the classical semantics.
+
+    cond1 witnesses must show bit q changing; cond2 witnesses must show some
+    other output bit depending on the input value of q."""
+    by_label = {qq.label: qq for qq in c.qubits}
+    bits = [0] * c.n_qubits
+    for label, val in witness.items():
+        bits[by_label[label].gid] = 1 if val else 0
+    if which == "cond1":
+        out = apply_classical(c, tuple(bits))
+        return out[q.gid] != bits[q.gid]
+    x0 = list(bits)
+    x0[q.gid] = 0
+    x1 = list(bits)
+    x1[q.gid] = 1
+    y0 = apply_classical(c, tuple(x0))
+    y1 = apply_classical(c, tuple(x1))
+    return any(y0[i] != y1[i] for i in range(c.n_qubits) if i != q.gid)
+
+
+def _emit_all(conds, stem: str, dimacs_dir, smtlib_dir):
+    for q, (c1, c2) in conds.items():
+        for name, e in (("cond1", c1), ("cond2", c2)):
+            if dimacs_dir is not None:
+                cnf, root = tseitin(e)
+                path = Path(dimacs_dir) / f"{stem}.{q.label}.{name}.cnf"
+                path.write_text(emit_dimacs(cnf, root))
+            if smtlib_dir is not None:
+                path = Path(smtlib_dir) / f"{stem}.{q.label}.{name}.smt2"
+                path.write_text(emit_smtlib(e))
+
+
+def _smt_path(smtlib_dir, stem: str, q: QubitId, name: str) -> Path | None:
+    if smtlib_dir is None:
+        return None
+    return Path(smtlib_dir) / f"{stem}.{q.label}.{name}.smt2"
+
+
+def verify_circuit(
+    circuit: FlatCircuit,
+    *,
+    program: str = "<memory>",
+    solver: str = "internal",
+    emit_dimacs_dir=None,
+    emit_smtlib_dir=None,
+    budget_conflicts: int = DEFAULT_BUDGET_CONFLICTS,
+    budget_seconds: float = DEFAULT_BUDGET_SECONDS,
+) -> Report:
+    """Decide safety of every borrow-verified qubit of an elaborated circuit."""
+    t_start = time.perf_counter()
+    state = track(circuit)
+    targets = circuit.verify_qubits()
+    conds = {
+        q: (cond_restore_zero(q, state), cond_restore_plus(q, state)) for q in targets
+    }
+
+    stem = Path(program).stem if program != "<memory>" else "circuit"
+    if emit_dimacs_dir is not None:
+        Path(emit_dimacs_dir).mkdir(parents=True, exist_ok=True)
+    if emit_smtlib_dir is not None:
+        Path(emit_smtlib_dir).mkdir(parents=True, exist_ok=True)
+    if emit_dimacs_dir is not None or emit_smtlib_dir is not None:
+        _emit_all(conds, stem, emit_dimacs_dir, emit_smtlib_dir)
+
+    external = None
+    if solver.startswith("cmd:"):
+        external = shlex.split(solver[4:])
+        if not external:
+            raise ValueError("empty external solver command")
+    elif solver != "internal":
+        raise ValueError(f"unknown solver {solver!r} (expected internal or cmd:<exe>)")
+
+    def decide(e: BoolExpr, q: QubitId, name: str) -> Decision:
+        if external is None:
+            return _decide_internal(e, budget_conflicts, budget_seconds)
+        script = _smt_path(emit_smtlib_dir, stem, q, name)
+        return _decide_external(e, external, budget_seconds, script)
+
+    verdicts = [_verdict(q, *conds[q], decide) for q in targets]
+    verdicts.extend(Verdict(q.label, "skipped") for q in circuit.skipped_qubits())
+
+    total_ms = _ms_since(t_start)
+    config = {
+        "solver": solver,
+        "budget_conflicts": budget_conflicts,
+        "budget_seconds": budget_seconds,
+    }
+    return Report(
+        program=program,
+        n_qubits=circuit.n_qubits,
+        n_gates=len(circuit.gates),
+        verdicts=verdicts,
+        total_ms=total_ms,
+        config=config,
+    )

@@ -21,15 +21,12 @@ import pytest
 from qborrow import (
     BoolStore,
     apply_gate,
-    check_bell_preservation,
     check_sat,
-    check_state_restoration,
     cond_restore_plus,
     cond_restore_zero,
     elaborate_source,
     emit_smtlib,
     evaluate,
-    exhaustive_safe,
     init_state,
     track,
     variables,
@@ -47,7 +44,14 @@ from qborrow.elaborator import (
     idle,
     seq,
 )
-from qborrow.oracle import FIVE_STATES, STATE_PLUS, STATE_ZERO
+from qborrow.oracle import (
+    FIVE_STATES,
+    STATE_PLUS,
+    STATE_ZERO,
+    check_bell_preservation,
+    check_state_restoration,
+    exhaustive_safe,
+)
 
 
 @contextmanager

@@ -1,11 +1,18 @@
 import json
+import os
 import stat
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
+import qborrow
 from qborrow import elaborate_source, parse_dimacs
 from qborrow.benchgen import adder_gate_count, adder_source, mcx_gate_count, mcx_source
-from qborrow.cli import (
+from qborrow.cli import cross_check, main
+from qborrow.verify import (
     EXIT_DISAGREE,
     EXIT_ERROR,
     EXIT_SAFE,
@@ -13,8 +20,6 @@ from qborrow.cli import (
     EXIT_UNSAFE,
     Report,
     Verdict,
-    cross_check,
-    main,
     report_exit_code,
     verify_circuit,
     witness_violates,
@@ -93,6 +98,15 @@ def test_gen_size_out_of_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,size", [("adder", 4), ("mcx", 4)])
+def test_gen_output_verifies_without_warnings(tmp_path, capsys, kind, size):
+    out = tmp_path / f"{kind}.qbr"
+    assert main(["gen", kind, "--size", str(size), "-o", str(out)]) == EXIT_SAFE
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == EXIT_SAFE
+    assert capsys.readouterr().err == ""
+
+
 # --------------------------------------------------------------------------
 # verify: exit codes
 
@@ -135,15 +149,6 @@ def test_verify_oracle_agreement(qbr):
     assert main(["verify", path, "--oracle"]) == EXIT_UNSAFE
 
 
-def test_verify_jobs_same_verdicts(qbr):
-    path = qbr("a.qbr", adder_source(8))
-    c = elaborate_source(adder_source(8))
-    seq = verify_circuit(c, jobs=1)
-    par = verify_circuit(c, jobs=4)
-    strip = lambda r: [(v.qubit, v.status, v.violated, v.witness) for v in r.verdicts]
-    assert strip(seq) == strip(par)
-
-
 # --------------------------------------------------------------------------
 # verify: external solvers
 
@@ -179,6 +184,27 @@ def test_external_solver_garbage_is_unknown(qbr, tmp_path, capsys):
 def test_external_solver_missing_binary(qbr):
     path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
     assert main(["verify", path, "--solver", "cmd:/nonexistent/solver"]) == EXIT_UNKNOWN
+
+
+@pytest.mark.parametrize(
+    "body,code",
+    [
+        ('test -s "$1" && echo sat', EXIT_UNSAFE),
+        ('test -s "$1" && echo unsat', EXIT_SAFE),
+        ('test -s "$1" && echo unsatisfiable', EXIT_UNKNOWN),
+        (None, EXIT_UNKNOWN),
+    ],
+    ids=["sat", "unsat", "garbage", "missing-binary"],
+)
+def test_external_solver_leaves_no_script(qbr, tmp_path, monkeypatch, body, code):
+    scripts = tmp_path / "tmp"
+    scripts.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scripts))
+    exe = "/nonexistent/solver" if body is None else fake_solver(tmp_path, body)
+    path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
+    # the solver sees a nonempty script, which is gone once verify returns
+    assert main(["verify", path, "--solver", f"cmd:{exe}"]) == code
+    assert list(scripts.glob("qborrow.*.smt2")) == []
 
 
 def test_unknown_solver_name(qbr):
@@ -246,9 +272,9 @@ def test_report_json_deterministic(qbr, tmp_path):
 def test_report_echoes_config(qbr, tmp_path):
     path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
     r = tmp_path / "r.json"
-    main(["verify", path, "--report", str(r), "--jobs", "2", "--budget-conflicts", "123"])
+    main(["verify", path, "--report", str(r), "--budget-conflicts", "123"])
     doc = json.loads(r.read_text())
-    assert doc["config"]["jobs"] == 2
+    assert set(doc["config"]) == {"solver", "budget_conflicts", "budget_seconds"}
     assert doc["config"]["budget_conflicts"] == 123
     assert doc["config"]["solver"] == "internal"
 
@@ -359,13 +385,21 @@ def test_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
+def test_import_leaves_numpy_unloaded():
+    # numpy is for the oracle alone; `verify --oracle` loads it on demand
+    src = str(Path(qborrow.__file__).resolve().parent.parent)
+    code = "import sys, qborrow, qborrow.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_installed():
     import shutil
 
     exe = shutil.which("qborrow")
     if exe is None:
         pytest.skip("console script not on PATH")
-    import subprocess
-
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0 and "qborrow" in proc.stdout
