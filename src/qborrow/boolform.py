@@ -1,9 +1,9 @@
 """Symbolic Boolean tracking of classical reversible circuits.
 
-Every qubit q carries a formula b_q over the circuit's input variables; gates
-update the formulas (X negates, a multi-controlled NOT xors the conjunction
-of its control formulas into the target).  Safety of returning a dirty qubit
-then reduces to the unsatisfiability of two conditions built here:
+Every qubit q carries a formula b_q over the circuit's input variables; each
+gate xors the conjunction of its control formulas into its target (X has no
+controls, so it negates).  Safety of returning a dirty qubit then reduces to
+the unsatisfiability of two conditions built here:
 
   * cond_restore_zero: b_q AND NOT q   -- the circuit maps q=0 back to 0;
   * cond_restore_plus: some other qubit's final value depends on q.
@@ -16,7 +16,7 @@ keeps benchmark formulas small happens automatically.
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .elaborator import FlatCircuit, Gate, McxGate, NotGate, QubitId, QubitRole
+from .elaborator import FlatCircuit, McxGate, QubitId, QubitRole
 from .errors import QborrowError
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -372,17 +372,13 @@ def init_state(c: FlatCircuit, store: BoolStore | None = None) -> FormulaState:
     return FormulaState(store, formulas)
 
 
-def _update(formulas: dict, g: Gate, store: BoolStore) -> None:
-    if isinstance(g, NotGate):
-        formulas[g.target] = store.not_(formulas[g.target])
-    elif isinstance(g, McxGate):
-        conj = store.and_([formulas[c] for c in g.controls])
-        formulas[g.target] = store.xor([formulas[g.target], conj])
-    else:
-        raise TypeError(f"not a gate: {g!r}")
+def _update(formulas: dict, g: McxGate, store: BoolStore) -> None:
+    # X has no controls: its conjunction is `true`, and the xor negates
+    conj = store.and_([formulas[c] for c in g.controls])
+    formulas[g.target] = store.xor([formulas[g.target], conj])
 
 
-def apply_gate(s: FormulaState, g: Gate) -> FormulaState:
+def apply_gate(s: FormulaState, g: McxGate) -> FormulaState:
     """One gate step; returns a new state, the input is left untouched."""
     formulas = dict(s.formulas)
     _update(formulas, g, s.store)

@@ -8,7 +8,8 @@ Subcommands:
 Exit codes: 0 all verified qubits safe, 1 some unsafe, 2 usage/parse/
 elaboration error, 3 undecided within budget, 4 oracle disagreement.
 Every flag can also be set via an environment variable with the QBORROW_
-prefix (e.g. QBORROW_SOLVER, QBORROW_BUDGET_SECONDS); flags win.
+prefix (e.g. QBORROW_SOLVER, QBORROW_BUDGET_SECONDS); flags win.  A malformed
+flag or variable value is a usage error.
 """
 
 import argparse
@@ -157,10 +158,10 @@ def cmd_gen(args, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         source = generate(args.kind, args.size)
-    except ValueError as exc:
+        circuit = elaborate_source(source)  # fails only above the elaboration caps
+    except (ValueError, SourceError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
-    circuit = elaborate_source(source)  # generator output must always elaborate
     Path(args.out).write_text(source)
     print(
         f"wrote {args.out}: {args.kind} size {args.size}, "
@@ -173,26 +174,27 @@ def cmd_gen(args, out=None, err=None) -> int:
 def cmd_bench(args, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()] if args.sizes else []
     rows = []
     worst = EXIT_SAFE
     header = f"{'kind':<6} {'size':>6} {'qubits':>7} {'gates':>7} {'verdict':<10} {'solver_ms':>10}"
     print(header, file=out)
     print("-" * len(header), file=out)
-    for size in sizes:
+    for size in args.sizes:
         try:
-            source = generate(args.kind, size)
-        except ValueError as exc:
+            circuit = elaborate_source(generate(args.kind, size))
+            report = verify_circuit(
+                circuit,
+                program=f"{args.kind}[{size}]",
+                solver=args.solver,
+                budget_conflicts=args.budget_conflicts,
+                budget_seconds=args.budget_seconds,
+            )
+        except FormulaSizeError as exc:
+            print(f"error: formula too large: {exc}", file=err)
+            return EXIT_UNKNOWN
+        except (ValueError, SourceError) as exc:
             print(f"error: {exc}", file=err)
             return EXIT_ERROR
-        circuit = elaborate_source(source)
-        report = verify_circuit(
-            circuit,
-            program=f"{args.kind}[{size}]",
-            solver=args.solver,
-            budget_conflicts=args.budget_conflicts,
-            budget_seconds=args.budget_seconds,
-        )
         solver_ms = sum(v.solve_ms for v in report.verdicts)
         code = report_exit_code(report)
         verdict = {EXIT_SAFE: "all-safe", EXIT_UNSAFE: "unsafe", EXIT_UNKNOWN: "unknown"}[code]
@@ -230,6 +232,13 @@ def _env_flag(name: str) -> bool:
     return (_env(name) or "").strip().lower() in ("1", "true", "yes", "on")
 
 
+def _size_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qborrow",
@@ -238,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qborrow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # QBORROW_* values go in as unconverted strings, so argparse converts them
+    # like the flags and a malformed one is a usage error
     def add_solver_opts(p):
         p.add_argument(
             "--solver",
@@ -247,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget-conflicts",
             type=int,
-            default=int(_env("BUDGET_CONFLICTS", DEFAULT_BUDGET_CONFLICTS)),
+            default=_env("BUDGET_CONFLICTS", DEFAULT_BUDGET_CONFLICTS),
         )
         p.add_argument(
             "--budget-seconds",
             type=float,
-            default=float(_env("BUDGET_SECONDS", DEFAULT_BUDGET_SECONDS)),
+            default=_env("BUDGET_SECONDS", DEFAULT_BUDGET_SECONDS),
         )
         p.add_argument(
             "--report",
@@ -271,10 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a benchmark program")
     g.add_argument("kind", choices=["adder", "mcx"])
     size_env = _env("SIZE")
-    g.add_argument(
-        "--size", type=int, required=size_env is None,
-        default=None if size_env is None else int(size_env),
-    )
+    g.add_argument("--size", type=int, required=size_env is None, default=size_env)
     out_env = _env("OUT")
     g.add_argument(
         "-o", "--out", required=out_env is None, default=out_env, metavar="FILE"
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="verify a size sweep and time the solver")
     b.add_argument("kind", choices=["adder", "mcx"])
     sizes_env = _env("SIZES")
-    b.add_argument("--sizes", required=sizes_env is None, default=sizes_env)
+    b.add_argument("--sizes", type=_size_list, required=sizes_env is None, default=sizes_env)
     add_solver_opts(b)
 
     return parser

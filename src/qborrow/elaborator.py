@@ -13,10 +13,14 @@ from typing import Iterable, Mapping
 
 from . import frontend
 from .errors import SourceError
-from .frontend import Expr, Loc, ProgramAst, RegRef, Stmt
+from .frontend import INT64_MAX, Expr, Loc, ProgramAst, RegRef, Stmt
 
 INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
+
+# Elaboration caps, checked before anything is allocated or unrolled: qubits
+# in all registers, and unroll steps (one per gate and one per loop iteration).
+MAX_QUBITS = 2**20
+MAX_UNROLL_STEPS = 2**21
 
 
 class ElabError(SourceError):
@@ -55,6 +59,10 @@ class RedefinedName(ElabError):
     pass
 
 
+class ElabLimitExceeded(ElabError):
+    pass
+
+
 # --------------------------------------------------------------------------
 # Circuit data model
 # --------------------------------------------------------------------------
@@ -78,22 +86,11 @@ class QubitId:
 
 
 @dataclass(frozen=True)
-class NotGate:
-    target: QubitId
-
-
-@dataclass(frozen=True)
 class McxGate:
-    controls: tuple[QubitId, ...]  # nonempty, pairwise distinct, target excluded
+    """NOT on `target` when every control is 1; X is the gate with no controls."""
+
+    controls: tuple[QubitId, ...]  # pairwise distinct (elaboration checks), target excluded
     target: QubitId
-
-    def __post_init__(self):
-        ops = [c.gid for c in self.controls] + [self.target.gid]
-        if len(set(ops)) != len(ops):
-            raise ValueError("gate operands must be pairwise distinct")
-
-
-Gate = NotGate | McxGate
 
 
 @dataclass(frozen=True)
@@ -110,16 +107,13 @@ class FlatCircuit:
     qubits: tuple[QubitId, ...]  # indexed by gid
     roles: tuple[QubitRole, ...]  # parallel to qubits
     registers: tuple[RegisterInfo, ...]
-    gates: tuple[Gate, ...]
+    gates: tuple[McxGate, ...]
     lifetimes: dict[str, tuple[int, int]]  # register -> [start, end) gate indices
     warnings: tuple[str, ...]
 
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
-
-    def role_of(self, q: QubitId) -> QubitRole:
-        return self.roles[q.gid]
 
     def verify_qubits(self) -> list[QubitId]:
         """Dirty qubits whose safe uncomputation must be proven."""
@@ -141,12 +135,6 @@ class FlatCircuit:
         return self.qubits[r.first_gid + index - 1]
 
 
-def gate_operands(g: Gate) -> tuple[QubitId, ...]:
-    if isinstance(g, NotGate):
-        return (g.target,)
-    return g.controls + (g.target,)
-
-
 def apply_classical(c: FlatCircuit, x: tuple[int, ...]) -> tuple[int, ...]:
     """Run the circuit as a classical function on one bit tuple (bit i is
     the value of the qubit with global id i)."""
@@ -154,13 +142,8 @@ def apply_classical(c: FlatCircuit, x: tuple[int, ...]) -> tuple[int, ...]:
         raise ValueError(f"expected {c.n_qubits} bits, got {len(x)}")
     bits = list(x)
     for g in c.gates:
-        if isinstance(g, NotGate):
+        if all(bits[ctrl.gid] for ctrl in g.controls):
             bits[g.target.gid] ^= 1
-        elif isinstance(g, McxGate):
-            if all(bits[ctrl.gid] for ctrl in g.controls):
-                bits[g.target.gid] ^= 1
-        else:
-            raise TypeError(f"not a gate: {g!r}")
     return tuple(bits)
 
 
@@ -168,17 +151,9 @@ def dump_gates(c: FlatCircuit) -> str:
     """One gate per line, e.g. `CCNOT a.1 q.2 a.2`."""
     lines = []
     for g in c.gates:
-        if isinstance(g, NotGate):
-            lines.append(f"X {g.target.label}")
-        elif len(g.controls) == 1:
-            lines.append(f"CNOT {g.controls[0].label} {g.target.label}")
-        elif len(g.controls) == 2:
-            lines.append(
-                f"CCNOT {g.controls[0].label} {g.controls[1].label} {g.target.label}"
-            )
-        else:
-            ops = " ".join(q.label for q in gate_operands(g))
-            lines.append(f"C{len(g.controls)}NOT {ops}")
+        n = len(g.controls)
+        name = ("X", "CNOT", "CCNOT")[n] if n < 3 else f"C{n}NOT"
+        lines.append(" ".join([name] + [q.label for q in g.controls + (g.target,)]))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -214,23 +189,16 @@ def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def loop_range(start: int, stop: int) -> list[int]:
+def loop_range(start: int, stop: int) -> range:
     """Inclusive range; counts down when start > stop."""
     if start <= stop:
-        return list(range(start, stop + 1))
-    return list(range(start, stop - 1, -1))
+        return range(start, stop + 1)
+    return range(start, stop - 1, -1)
 
 
 # --------------------------------------------------------------------------
 # Elaboration
 # --------------------------------------------------------------------------
-
-_ROLE_OF_STMT = {
-    frontend.Borrow: QubitRole.BORROW_VERIFY,
-    frontend.BorrowSkip: QubitRole.BORROW_SKIP,
-    frontend.Alloc: QubitRole.CLEAN,
-}
-
 
 class _Elaborator:
     def __init__(self):
@@ -239,10 +207,11 @@ class _Elaborator:
         self.released: set[str] = set()
         self.qubits: list[QubitId] = []
         self.roles: list[QubitRole] = []
-        self.gates: list[Gate] = []
+        self.gates: list[McxGate] = []
         self.lifetimes: dict[str, tuple[int, int]] = {}
         self.starts: dict[str, int] = {}
         self.warnings: list[str] = []
+        self.steps_left = MAX_UNROLL_STEPS
 
     def run(self, ast: ProgramAst) -> FlatCircuit:
         for s in ast.statements:
@@ -266,23 +235,15 @@ class _Elaborator:
     def stmt(self, s: Stmt) -> None:
         if isinstance(s, frontend.Let):
             self.define_value(s.name, eval_expr(s.value, self.values), s.loc)
-        elif isinstance(s, (frontend.Borrow, frontend.BorrowSkip, frontend.Alloc)):
-            self.declare(s.reg, _ROLE_OF_STMT[type(s)], s.loc)
+        elif isinstance(s, frontend.Declare):
+            self.declare(s.reg, QubitRole(s.keyword), s.loc)
         elif isinstance(s, frontend.Release):
             self.release(s.name, s.loc)
-        elif isinstance(s, frontend.GateX):
-            self.gates.append(NotGate(self.resolve(s.target)))
-        elif isinstance(s, frontend.GateCNOT):
-            control = self.resolve(s.control)
-            target = self.resolve(s.target)
-            self.check_distinct((control, target), s.loc)
-            self.gates.append(McxGate((control,), target))
-        elif isinstance(s, frontend.GateCCNOT):
-            c1 = self.resolve(s.control1)
-            c2 = self.resolve(s.control2)
-            target = self.resolve(s.target)
-            self.check_distinct((c1, c2, target), s.loc)
-            self.gates.append(McxGate((c1, c2), target))
+        elif isinstance(s, frontend.GateStmt):
+            self.spend(1, s.loc)
+            operands = tuple(map(self.resolve, s.operands))
+            self.check_distinct(operands, s.loc)
+            self.gates.append(McxGate(operands[:-1], operands[-1]))
         elif isinstance(s, frontend.For):
             self.for_loop(s)
         else:
@@ -301,6 +262,13 @@ class _Elaborator:
         if size < 1:
             raise NonPositiveSize(
                 loc[0], loc[1], f"register '{reg.name}' declared with size {size}"
+            )
+        if size > MAX_QUBITS - len(self.qubits):
+            raise ElabLimitExceeded(
+                loc[0],
+                loc[1],
+                f"register '{reg.name}' of size {size} would exceed "
+                f"the cap of {MAX_QUBITS} qubits",
             )
         first_gid = len(self.qubits)
         for i in range(1, size + 1):
@@ -336,6 +304,14 @@ class _Elaborator:
             )
         return self.qubits[reg.first_gid + index - 1]
 
+    def spend(self, steps: int, loc: Loc) -> None:
+        """Charge unroll steps against the budget before taking them."""
+        if steps > self.steps_left:
+            raise ElabLimitExceeded(
+                loc[0], loc[1], f"unrolling exceeds the cap of {MAX_UNROLL_STEPS} steps"
+            )
+        self.steps_left -= steps
+
     def check_distinct(self, operands: tuple[QubitId, ...], loc: Loc) -> None:
         seen: set[int] = set()
         for q in operands:
@@ -352,6 +328,7 @@ class _Elaborator:
             )
         start = eval_expr(s.start, self.values)
         stop = eval_expr(s.stop, self.values)
+        self.spend(abs(stop - start) + 1, s.loc)
         for value in loop_range(start, stop):
             self.values[s.var] = value
             for inner in s.body:

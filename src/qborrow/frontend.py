@@ -7,16 +7,14 @@ loops over compile-time arithmetic.  Comments are `//` to end of line and
 non-nesting `/* ... */`.
 """
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import SourceError
 
-KEYWORDS = frozenset(
-    ["let", "borrow", "borrow@", "alloc", "release", "X", "CNOT", "CCNOT", "for", "to"]
-)
+GATE_ARITY = {"X": 1, "CNOT": 2, "CCNOT": 3}  # gate keyword -> operand count
 
-OPERATORS = frozenset("+-*=")
-PUNCTUATION = frozenset(";,[](){}")
+KEYWORDS = frozenset(["let", "borrow", "borrow@", "alloc", "release", "for", "to", *GATE_ARITY])
 
 INT64_MAX = 2**63 - 1
 
@@ -51,78 +49,47 @@ class Token:
         return (self.line, self.column)
 
 
+# One alternative per token class, tried in order at each offset.  Identifiers
+# and numbers use the ASCII classes of QBorrow.g4; 'borrow@' is one keyword
+# token, so its '@' must be adjacent.  Anything else is matched by `bad`.
+_TOKEN_RE = re.compile(
+    r"""(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)
+      | (?P<open>/\*)
+      | (?P<word>borrow@|[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<number>[0-9]+)
+      | (?P<operator>[-+*=])
+      | (?P<punctuation>[;,\[\](){}])
+      | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
 def tokenize(source: str) -> list[Token]:
     """Split source text into tokens, dropping whitespace and comments."""
     tokens = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
+    line_start = 0  # offset of the first character of `line`
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        text = m.group()
+        start = m.start()
+        col = start - line_start + 1
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise UnterminatedComment(start_line, start_col, "unterminated '/*' comment")
-            advance(2)
-            continue
-        if c.isalpha() or c == "_":
-            start_line, start_col = line, col
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            advance(j - i)
-            # 'borrow@' is one keyword token; the '@' must be adjacent
-            if word == "borrow" and i < n and source[i] == "@":
-                word = "borrow@"
-                advance(1)
-            kind = "keyword" if word in KEYWORDS else "identifier"
-            tokens.append(Token(kind, word, start_line, start_col))
-            continue
-        if c.isdigit():
-            start_line, start_col = line, col
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            digits = source[i:j]
-            advance(j - i)
-            if int(digits) > INT64_MAX:
-                raise LexError(
-                    start_line, start_col, f"integer literal {digits} exceeds 64-bit range"
-                )
-            tokens.append(Token("number", digits, start_line, start_col))
-            continue
-        if c in OPERATORS:
-            tokens.append(Token("operator", c, line, col))
-            advance(1)
-            continue
-        if c in PUNCTUATION:
-            tokens.append(Token("punctuation", c, line, col))
-            advance(1)
-            continue
-        raise LexError(line, col, f"unexpected character {c!r}")
+        if kind == "word":
+            kind = "keyword" if text in KEYWORDS else "identifier"
+        elif kind == "number":
+            if int(text) > INT64_MAX:
+                raise LexError(line, col, f"integer literal {text} exceeds 64-bit range")
+        elif kind == "open":
+            raise UnterminatedComment(line, col, "unterminated '/*' comment")
+        elif kind == "bad":
+            raise LexError(line, col, f"unexpected character {text!r}")
+        tokens.append(Token(kind, text, line, col))
     return tokens
 
 
@@ -179,21 +146,10 @@ class Let:
 
 
 @dataclass(frozen=True)
-class Borrow:
-    reg: RegRef
-    loc: Loc = field(default=(0, 0), compare=False)
+class Declare:
+    """`borrow`, `borrow@` (borrowed, verification skipped) or `alloc`."""
 
-
-@dataclass(frozen=True)
-class BorrowSkip:
-    """`borrow@`: borrow a dirty register but skip its verification."""
-
-    reg: RegRef
-    loc: Loc = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Alloc:
+    keyword: str
     reg: RegRef
     loc: Loc = field(default=(0, 0), compare=False)
 
@@ -205,23 +161,11 @@ class Release:
 
 
 @dataclass(frozen=True)
-class GateX:
-    target: RegRef
-    loc: Loc = field(default=(0, 0), compare=False)
+class GateStmt:
+    """`X[t]`, `CNOT[c, t]` or `CCNOT[c1, c2, t]`: controls first, target last."""
 
-
-@dataclass(frozen=True)
-class GateCNOT:
-    control: RegRef
-    target: RegRef
-    loc: Loc = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class GateCCNOT:
-    control1: RegRef
-    control2: RegRef
-    target: RegRef
+    name: str
+    operands: tuple[RegRef, ...]
     loc: Loc = field(default=(0, 0), compare=False)
 
 
@@ -234,7 +178,7 @@ class For:
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-Stmt = Let | Borrow | BorrowSkip | Alloc | Release | GateX | GateCNOT | GateCCNOT | For
+Stmt = Let | Declare | Release | GateStmt | For
 
 
 @dataclass(frozen=True)
@@ -302,40 +246,22 @@ class _Parser:
             self.pos += 1
             reg = self.reg()
             self.take("punctuation", ";")
-            cls = {"borrow": Borrow, "borrow@": BorrowSkip, "alloc": Alloc}[tok.lexeme]
-            return cls(reg, loc)
+            return Declare(tok.lexeme, reg, loc)
         if tok.lexeme == "release":
             self.pos += 1
             name = self.take("identifier").lexeme
             self.take("punctuation", ";")
             return Release(name, loc)
-        if tok.lexeme == "X":
+        if tok.lexeme in GATE_ARITY:
             self.pos += 1
             self.take("punctuation", "[")
-            target = self.reg()
+            operands = [self.reg()]
+            for _ in range(GATE_ARITY[tok.lexeme] - 1):
+                self.take("punctuation", ",")
+                operands.append(self.reg())
             self.take("punctuation", "]")
             self.take("punctuation", ";")
-            return GateX(target, loc)
-        if tok.lexeme == "CNOT":
-            self.pos += 1
-            self.take("punctuation", "[")
-            control = self.reg()
-            self.take("punctuation", ",")
-            target = self.reg()
-            self.take("punctuation", "]")
-            self.take("punctuation", ";")
-            return GateCNOT(control, target, loc)
-        if tok.lexeme == "CCNOT":
-            self.pos += 1
-            self.take("punctuation", "[")
-            c1 = self.reg()
-            self.take("punctuation", ",")
-            c2 = self.reg()
-            self.take("punctuation", ",")
-            target = self.reg()
-            self.take("punctuation", "]")
-            self.take("punctuation", ";")
-            return GateCCNOT(c1, c2, target, loc)
+            return GateStmt(tok.lexeme, tuple(operands), loc)
         if tok.lexeme == "for":
             self.pos += 1
             var = self.take("identifier").lexeme
@@ -403,8 +329,6 @@ class _Parser:
 
 def parse(tokens: list[Token]) -> ProgramAst:
     """Parse a token list into a program AST; raises ParseError on violation."""
-    if not tokens:
-        raise ParseError(1, 1, ("statement",), "end of input")
     return _Parser(tokens).program()
 
 
@@ -448,23 +372,12 @@ def format_reg(r: RegRef) -> str:
 def _format_stmt(s: Stmt, indent: str, out: list[str]) -> None:
     if isinstance(s, Let):
         out.append(f"{indent}let {s.name} = {format_expr(s.value)};")
-    elif isinstance(s, Borrow):
-        out.append(f"{indent}borrow {format_reg(s.reg)};")
-    elif isinstance(s, BorrowSkip):
-        out.append(f"{indent}borrow@ {format_reg(s.reg)};")
-    elif isinstance(s, Alloc):
-        out.append(f"{indent}alloc {format_reg(s.reg)};")
+    elif isinstance(s, Declare):
+        out.append(f"{indent}{s.keyword} {format_reg(s.reg)};")
     elif isinstance(s, Release):
         out.append(f"{indent}release {s.name};")
-    elif isinstance(s, GateX):
-        out.append(f"{indent}X[{format_reg(s.target)}];")
-    elif isinstance(s, GateCNOT):
-        out.append(f"{indent}CNOT[{format_reg(s.control)}, {format_reg(s.target)}];")
-    elif isinstance(s, GateCCNOT):
-        out.append(
-            f"{indent}CCNOT[{format_reg(s.control1)}, "
-            f"{format_reg(s.control2)}, {format_reg(s.target)}];"
-        )
+    elif isinstance(s, GateStmt):
+        out.append(f"{indent}{s.name}[{', '.join(map(format_reg, s.operands))}];")
     elif isinstance(s, For):
         out.append(
             f"{indent}for {s.var} = {format_expr(s.start)} to {format_expr(s.stop)} {{"

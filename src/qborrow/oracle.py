@@ -14,7 +14,7 @@ sampling; they define ground truth for the acceptance tests.
 
 import numpy as np
 
-from .elaborator import FlatCircuit, NotGate, QubitId
+from .elaborator import FlatCircuit, QubitId
 from .elaborator import apply_classical  # noqa: F401  (the classical reference, re-exported)
 from .errors import QborrowError
 
@@ -67,14 +67,11 @@ def permutation(c: FlatCircuit) -> np.ndarray:
     values = np.arange(1 << n, dtype=np.int64)
     for g in c.gates:
         tmask = np.int64(1 << (n - 1 - g.target.gid))
-        if isinstance(g, NotGate):
-            values ^= tmask
-        else:
-            fire = np.ones(values.shape, dtype=bool)
-            for ctrl in g.controls:
-                cmask = 1 << (n - 1 - ctrl.gid)
-                fire &= (values & cmask) != 0
-            values ^= np.where(fire, tmask, np.int64(0))
+        fire = np.ones(values.shape, dtype=bool)
+        for ctrl in g.controls:
+            cmask = 1 << (n - 1 - ctrl.gid)
+            fire &= (values & cmask) != 0
+        values ^= np.where(fire, tmask, np.int64(0))
     return values
 
 

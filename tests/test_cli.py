@@ -369,6 +369,38 @@ def test_bench_bad_size(capsys):
 
 
 # --------------------------------------------------------------------------
+# malformed input to the command line: exit 2, never a traceback
+
+
+def run_cli(args, env_extra=(), cwd=None):
+    src = str(Path(qborrow.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QBORROW_")}
+    env.update(env_extra, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "qborrow.cli", *args],
+        capture_output=True, text=True, env=env, cwd=cwd,
+    )
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["bench", "adder", "--sizes", "4", "--solver", "bogus"], {}),
+        (["bench", "adder", "--sizes", "x"], {}),
+        (["bench", "mcx", "--sizes", "4"], {"QBORROW_BUDGET_SECONDS": "abc"}),
+        (["bench", "mcx", "--sizes", "4"], {"QBORROW_BUDGET_CONFLICTS": "abc"}),
+        (["gen", "adder", "-o", "out.qbr"], {"QBORROW_SIZE": "abc"}),
+        (["gen", "adder", "--size", "100000000", "-o", "out.qbr"], {}),
+    ],
+)
+def test_malformed_input_exits_2(args, env, tmp_path):
+    proc = run_cli(args, env, cwd=tmp_path)
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
+# --------------------------------------------------------------------------
 # misc plumbing
 
 

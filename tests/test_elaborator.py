@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qborrow import elaborate_source
@@ -5,12 +7,12 @@ from qborrow.elaborator import (
     ArithmeticOverflow,
     BorrowBlock,
     DuplicateOperand,
+    ElabLimitExceeded,
     IfMeasure,
     IndexOutOfRange,
     Init,
     McxGate,
     NonPositiveSize,
-    NotGate,
     QubitRole,
     RedeclaredRegister,
     RedefinedName,
@@ -99,10 +101,25 @@ def test_loop_index_out_of_scope_after():
         elaborate_source("borrow q[2];\nfor i = 1 to 2 { X[q[i]]; }\nX[q[i]];")
 
 
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("borrow a[1099511627776];", "1:1"),
+        ("borrow a;\nfor i = 1 to 1099511627776 { }", "2:1"),
+        ("borrow a;\nfor i = 1 to 1048576 { for j = 1 to 1048576 { X[a]; } }", "2:47"),
+    ],
+)
+def test_caps_fail_before_allocating(source, where):
+    start = time.perf_counter()
+    with pytest.raises(ElabLimitExceeded, match=f"^{where}: "):
+        elaborate_source(source)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_gate_arity_flattening():
     c = elaborate_source("borrow q[3];\nX[q[2]];\nCNOT[q[3], q[1]];\nCCNOT[q[1], q[2], q[3]];")
     g1, g2, g3 = c.gates
-    assert isinstance(g1, NotGate) and g1.target.label == "q.2"
+    assert g1.controls == () and g1.target.label == "q.2"
     assert isinstance(g2, McxGate) and [x.label for x in g2.controls] == ["q.3"]
     assert isinstance(g3, McxGate) and len(g3.controls) == 2
 

@@ -1,19 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qborrow.frontend import (
+    GATE_ARITY,
+    INT64_MAX,
     BinOp,
-    Borrow,
-    BorrowSkip,
+    Declare,
     For,
-    GateCCNOT,
-    GateCNOT,
-    GateX,
+    GateStmt,
     LexError,
     Let,
     Name,
     Neg,
     Num,
     ParseError,
+    ProgramAst,
     RegRef,
     Release,
     UnterminatedComment,
@@ -87,9 +89,35 @@ def test_block_comment_spans_lines():
     assert toks[1].line == 3
 
 
+def test_column_after_block_comment_spanning_lines():
+    b = tokenize("a /* 1\n2 */ b")[1]
+    assert (b.lexeme, b.line, b.column) == ("b", 2, 6)
+
+
+def test_crlf_line_endings():
+    # '\r' is whitespace that takes a column; '\n' starts the next line
+    toks = tokenize("let a = 1;\r\nX[a];\r\n")
+    assert [(t.lexeme, t.line, t.column) for t in toks[4:6]] == [(";", 1, 10), ("X", 2, 1)]
+
+
 def test_unterminated_block_comment():
     with pytest.raises(UnterminatedComment):
         tokenize("let a = 1; /* oops")
+
+
+def test_unterminated_block_comment_location():
+    with pytest.raises(UnterminatedComment, match=r"^2:7: unterminated '/\*' comment"):
+        tokenize("let a = 1;\nX[a]; /* open\nstill open")
+
+
+@pytest.mark.parametrize(
+    "source, column, char",
+    [("borrow a[\u00b2];", 10, "\u00b2"), ("borrow \u00e9;", 8, "\u00e9"), ("let n = \u0663;", 9, "\u0663")],
+)
+def test_non_ascii_letters_and_digits_rejected(source, column, char):
+    # QBorrow.g4 defines ID and NUMBER over ASCII classes only
+    with pytest.raises(LexError, match=f"^1:{column}: unexpected character {char!r}"):
+        tokenize(source)
 
 
 def test_int64_literal_limit():
@@ -110,8 +138,8 @@ def test_unexpected_character():
 def test_reg_forms():
     prog = parse_source("borrow q; borrow r[n + 1];")
     a, b = prog.statements
-    assert a == Borrow(RegRef("q", None))
-    assert b == Borrow(RegRef("r", BinOp("+", Name("n"), Num(1))))
+    assert a == Declare("borrow", RegRef("q", None))
+    assert b == Declare("borrow", RegRef("r", BinOp("+", Name("n"), Num(1))))
 
 
 def test_precedence_mul_binds_tighter():
@@ -146,14 +174,14 @@ def test_gates_and_for():
     assert isinstance(loop, For)
     assert loop.var == "i" and loop.start == Num(1) and loop.stop == Name("n")
     x, cnot, ccnot = loop.body
-    assert x == GateX(RegRef("q", Name("i")))
-    assert cnot == GateCNOT(RegRef("a", None), RegRef("b", None))
-    assert ccnot == GateCCNOT(RegRef("a", None), RegRef("b", None), RegRef("c", None))
+    assert x == GateStmt("X", (RegRef("q", Name("i")),))
+    assert cnot == GateStmt("CNOT", (RegRef("a", None), RegRef("b", None)))
+    assert ccnot == GateStmt("CCNOT", (RegRef("a", None), RegRef("b", None), RegRef("c", None)))
 
 
 def test_release_and_skip():
     prog = parse_source("borrow@ t; release t;")
-    assert prog.statements == (BorrowSkip(RegRef("t", None)), Release("t"))
+    assert prog.statements == (Declare("borrow@", RegRef("t", None)), Release("t"))
 
 
 def test_empty_program_rejected():
@@ -214,3 +242,32 @@ def test_print_parse_round_trip(src):
     assert parse_source(printed) == prog
     # and printing is a fixpoint
     assert print_program(parse_source(printed)) == printed
+
+
+# identifiers, some of them a keyword plus a suffix
+names = st.sampled_from(["a", "n", "q_1", "_", "X2", "fore", "borrowed", "CNOTs"])
+exprs = st.recursive(
+    st.integers(0, INT64_MAX).map(Num) | names.map(Name),
+    lambda sub: sub.map(Neg)
+    | st.builds(BinOp, st.sampled_from("+-*"), sub, sub),
+    max_leaves=6,
+)
+regs = st.builds(RegRef, names, st.none() | exprs)
+simple_stmts = st.one_of(
+    st.builds(Let, names, exprs),
+    st.builds(Declare, st.sampled_from(["borrow", "borrow@", "alloc"]), regs),
+    st.builds(Release, names),
+    *(st.builds(GateStmt, st.just(g), st.tuples(*[regs] * n)) for g, n in GATE_ARITY.items()),
+)
+stmts = st.recursive(
+    simple_stmts,
+    lambda sub: st.builds(For, names, exprs, exprs, st.lists(sub, max_size=3).map(tuple)),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(stmts, min_size=1, max_size=5).map(tuple))
+def test_print_parse_round_trip_generated(statements):
+    ast = ProgramAst(statements)
+    assert parse_source(print_program(ast)) == ast
