@@ -8,11 +8,16 @@ the unsatisfiability of two conditions built here:
   * cond_restore_zero: b_q AND NOT q   -- the circuit maps q=0 back to 0;
   * cond_restore_plus: some other qubit's final value depends on q.
 
+cond_restore_plus sweeps its miter before returning it: nodes that agree on
+random simulation patterns are merged where the store's own rewrite rules
+prove them equal, so a Safe cond2 usually folds to `false` without a solver.
+
 Expressions are hash-consed into a DAG with canonical constructors, so
 structural equality is node identity and the x XOR x = 0 cancellation that
 keeps benchmark formulas small happens automatically.
 """
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -239,17 +244,19 @@ class BoolStore:
             if pending:
                 stack.extend(pending)
                 continue
-            new_args = [cache[c] for c in node.args]
-            if all(n is o for n, o in zip(new_args, node.args)):
-                cache[node] = node
-            elif node.op == "not":
-                cache[node] = self.not_(new_args[0])
-            elif node.op == "and":
-                cache[node] = self.and_(new_args)
-            else:
-                cache[node] = self.xor(new_args)
+            cache[node] = self._rebuild(node, [cache[c] for c in node.args])
             stack.pop()
         return cache[e]
+
+    def _rebuild(self, node: BoolExpr, new_args: list[BoolExpr]) -> BoolExpr:
+        """`node` with its children replaced, through the canonical constructors."""
+        if all(n is o for n, o in zip(new_args, node.args)):
+            return node
+        if node.op == "not":
+            return self.not_(new_args[0])
+        if node.op == "and":
+            return self.and_(new_args)
+        return self.xor(new_args)
 
 
 def evaluate(e: BoolExpr, env: Mapping[QubitId, bool]) -> bool:
@@ -424,4 +431,87 @@ def cond_restore_plus(q: QubitId, s: FormulaState) -> BoolExpr:
         )
         if delta is not store.false:
             disjuncts.append(delta)
-    return store.or_(disjuncts)
+    return _sweep(store, store.or_(disjuncts))
+
+
+# --------------------------------------------------------------------------
+# SAT sweeping
+# --------------------------------------------------------------------------
+
+_SWEEP_SEED = 0x5EED
+_SWEEP_BITS = 256  # patterns simulated at once, one per bit of a Python int
+_SWEEP_MASK = (1 << _SWEEP_BITS) - 1
+
+
+def _topological(root: BoolExpr) -> list[BoolExpr]:
+    """Every node below `root`, children first, in the order of `args`."""
+    order: list[BoolExpr] = []
+    done: set[BoolExpr] = set()
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        pending = [c for c in node.args if c not in done]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        done.add(node)
+        order.append(node)
+        stack.pop()
+    return order
+
+
+def _simulate(order: list[BoolExpr]) -> dict[BoolExpr, int]:
+    """Bit-parallel values of every node on fixed-seed random patterns; the
+    variables draw their patterns in gid order."""
+    rng = random.Random(_SWEEP_SEED)
+    sig: dict[BoolExpr, int] = {}
+    for v in sorted((n for n in order if n.op == "var"), key=lambda n: n.qubit.gid):
+        sig[v] = rng.getrandbits(_SWEEP_BITS)
+    for node in order:
+        op = node.op
+        if op == "false":
+            sig[node] = 0
+        elif op == "true":
+            sig[node] = _SWEEP_MASK
+        elif op == "not":
+            sig[node] = sig[node.args[0]] ^ _SWEEP_MASK
+        elif op == "and":
+            value = _SWEEP_MASK
+            for c in node.args:
+                value &= sig[c]
+            sig[node] = value
+        elif op == "xor":
+            value = 0
+            for c in node.args:
+                value ^= sig[c]
+            sig[node] = value
+    return sig
+
+
+def _sweep(store: BoolStore, e: BoolExpr) -> BoolExpr:
+    """An equivalent of `e` with simulation-equivalent nodes merged.
+
+    Bottom up, each node is rebuilt from its children's representatives; when
+    its signature matches an earlier representative or a constant, the two
+    merge only if the store's rewrite rules fold their xor to `false`, so
+    every merge is proved without a SAT call.  A constant `e`, or one that a
+    pattern already satisfies, is returned as it is.
+    """
+    if e.op in ("false", "true"):
+        return e
+    order = _topological(e)
+    sig = _simulate(order)
+    if sig[e]:
+        return e
+    by_sig = {0: store.false, _SWEEP_MASK: store.true}
+    rep: dict[BoolExpr, BoolExpr] = {}
+    for node in order:
+        new = store._rebuild(node, [rep[c] for c in node.args])
+        cand = by_sig.setdefault(sig[node], new)
+        if cand is not new and store.xor([new, cand]) is store.false:
+            new = cand
+        rep[node] = new
+    return rep[e]

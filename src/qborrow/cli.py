@@ -89,38 +89,43 @@ def cross_check(circuit: FlatCircuit, report: Report, err=None) -> bool:
 
 
 def _print_verify(report: Report, out):
+    lines = []
     for v in report.verdicts:
         if v.status == "safe":
             extra = f"({v.formula_nodes} nodes, {v.cnf_vars} vars, {v.cnf_clauses} clauses, {v.solve_ms:.1f} ms)"
-            print(f"{v.qubit}: Safe {extra}", file=out)
+            lines.append(f"{v.qubit}: Safe {extra}")
         elif v.status == "unsafe":
             w = ""
             if v.witness is not None:
                 bits = ", ".join(f"{k}={int(b)}" for k, b in sorted(v.witness.items()))
                 w = f", witness {{{bits}}}"
-            print(f"{v.qubit}: Unsafe via {v.violated}{w}", file=out)
+            lines.append(f"{v.qubit}: Unsafe via {v.violated}{w}")
         elif v.status == "skipped":
-            print(f"{v.qubit}: Skipped", file=out)
+            lines.append(f"{v.qubit}: Skipped")
         else:
-            print(f"{v.qubit}: Unknown (budget: {v.budget})", file=out)
+            lines.append(f"{v.qubit}: Unknown (budget: {v.budget})")
     counts = {s: 0 for s in ("safe", "unsafe", "skipped", "unknown")}
     for v in report.verdicts:
         counts[v.status] += 1
-    print(
+    lines.append(
         f"{counts['safe']} safe, {counts['unsafe']} unsafe, "
         f"{counts['skipped']} skipped, {counts['unknown']} unknown "
-        f"in {report.total_ms:.1f} ms",
-        file=out,
+        f"in {report.total_ms:.1f} ms"
     )
+    out.write("\n".join(lines) + "\n")
 
 
 def cmd_verify(args, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        text = Path(args.file).read_text()
+        with open(args.file, "rb") as f:
+            text = f.read().decode("utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=err)
+        return EXIT_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=err)
         return EXIT_ERROR
     try:
         circuit = elaborate_source(text)
@@ -228,8 +233,13 @@ def _env(name: str, fallback=None):
     return os.environ.get("QBORROW_" + name, fallback)
 
 
-def _env_flag(name: str) -> bool:
-    return (_env(name) or "").strip().lower() in ("1", "true", "yes", "on")
+def _flag(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off", ""):
+        return False
+    raise argparse.ArgumentTypeError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
 
 
 def _size_list(text: str) -> list[int]:
@@ -277,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver_opts(v)
     v.add_argument("--emit-dimacs", default=_env("EMIT_DIMACS"), metavar="DIR")
     v.add_argument("--emit-smtlib", default=_env("EMIT_SMTLIB"), metavar="DIR")
-    v.add_argument("--oracle", action="store_true", default=_env_flag("ORACLE"))
+    oracle = v.add_argument("--oracle", action="store_true", default=_env("ORACLE", ""))
+    oracle.type = _flag  # store_true takes no type=; this converts QBORROW_ORACLE
 
     g = sub.add_parser("gen", help="generate a benchmark program")
     g.add_argument("kind", choices=["adder", "mcx"])

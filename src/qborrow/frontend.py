@@ -53,7 +53,7 @@ class Token:
 # and numbers use the ASCII classes of QBorrow.g4; 'borrow@' is one keyword
 # token, so its '@' must be adjacent.  Anything else is matched by `bad`.
 _TOKEN_RE = re.compile(
-    r"""(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)
+    r"""(?P<skip>[ \t\r\n]+|//[^\r\n]*|/\*.*?\*/)
       | (?P<open>/\*)
       | (?P<word>borrow@|[A-Za-z_][A-Za-z0-9_]*)
       | (?P<number>[0-9]+)

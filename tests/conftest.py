@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qborrow import elaborate_source
+from qborrow.elaborator import FlatCircuit
 
 # One-line description per acceptance criterion, used by the summary hook.
 CRITERIA = {
@@ -110,3 +111,31 @@ def corpus():
         m = rng.randint(1, 40)
         circuits.append(elaborate_source(random_program(rng, n, m)))
     return circuits
+
+
+# --------------------------------------------------------------------------
+# single-gate-deletion mutants
+
+
+def flat_source(c: FlatCircuit, skip: int) -> str:
+    """The elaborated circuit as a loop-free program without gate `skip`."""
+    indexed = {r.name: r.indexed for r in c.registers}
+
+    def ref(q) -> str:
+        return f"{q.name}[{q.index}]" if indexed[q.name] else q.name
+
+    lines = [
+        f"{r.role.value} {r.name}[{r.size}];" if r.indexed else f"{r.role.value} {r.name};"
+        for r in c.registers
+    ]
+    for i, g in enumerate(c.gates):
+        if i != skip:
+            ops = [*g.controls, g.target]
+            lines.append(f"{('X', 'CNOT', 'CCNOT')[len(ops) - 1]}[{', '.join(map(ref, ops))}];")
+    lines += [f"release {r.name};" for r in c.registers]
+    return "\n".join(lines) + "\n"
+
+
+def mutant_sources(source: str) -> list[str]:
+    c = elaborate_source(source)
+    return [flat_source(c, i) for i in range(len(c.gates))]

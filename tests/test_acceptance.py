@@ -53,6 +53,8 @@ from qborrow.oracle import (
     exhaustive_safe,
 )
 
+from conftest import mutant_sources
+
 
 @contextmanager
 def wall_clock_limit(seconds):
@@ -331,3 +333,29 @@ def test_criterion_10_external_solver_fidelity(tmp_path, safe_circuit, leaky_cir
                 assert external == internal, f"{script.name}: {external} != {internal}"
                 checked += 1
     assert checked == 2 + 2 + 14  # two figures + seven adder qubits, two conds each
+
+
+def test_emitted_residual_cond2_matches_check_sat(tmp_path):
+    # every adder8 cond2 sweeps to false, so criterion 10 sees `(assert false)`
+    # there; satisfiable cond2 of unsafe mutants reach the emitter unswept
+    cmd = _find_external_solver()
+    if cmd is None:
+        pytest.skip("no external SMT solver available")
+    conds = []
+    for i, source in enumerate(mutant_sources(adder_source(8))):
+        circuit = elaborate_source(source)
+        state = track(circuit)
+        for q in circuit.verify_qubits():
+            cond = cond_restore_plus(q, state)
+            if cond.op not in ("false", "true"):
+                conds.append((f"del{i}.{q.label}", cond))
+    assert len(conds) >= 4
+    for name, cond in conds[:4]:
+        script = tmp_path / f"{name}.cond2.smt2"
+        script.write_text(emit_smtlib(cond))
+        assert "(assert false)" not in script.read_text()
+        proc = subprocess.run(cmd + [str(script)], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = [l.strip() for l in proc.stdout.splitlines()]
+        assert ("sat" in lines) != ("unsat" in lines), f"unparseable solver output: {proc.stdout!r}"
+        assert ("sat" if "sat" in lines else "unsat") == check_sat(cond).status, name

@@ -391,13 +391,33 @@ def run_cli(args, env_extra=(), cwd=None):
         (["bench", "mcx", "--sizes", "4"], {"QBORROW_BUDGET_CONFLICTS": "abc"}),
         (["gen", "adder", "-o", "out.qbr"], {"QBORROW_SIZE": "abc"}),
         (["gen", "adder", "--size", "100000000", "-o", "out.qbr"], {}),
+        (["verify", "prog.qbr"], {"QBORROW_ORACLE": "ture"}),
     ],
 )
 def test_malformed_input_exits_2(args, env, tmp_path):
+    (tmp_path / "prog.qbr").write_text(SAFE_CCCNOT_SRC)
     proc = run_cli(args, env, cwd=tmp_path)
     assert proc.returncode == EXIT_ERROR, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+def test_source_that_is_not_utf8_exits_2(tmp_path):
+    (tmp_path / "latin1.qbr").write_bytes(b"borrow a;\n// caf\xe9\nX[a];\n")
+    proc = run_cli(["verify", "latin1.qbr"], cwd=tmp_path)
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    assert proc.stderr == "error: latin1.qbr: not UTF-8 text (invalid continuation byte at byte 16)\n"
+
+
+@pytest.mark.parametrize(
+    "value, on", [("1", True), ("on", True), ("Yes", True), ("0", False), ("off", False), ("", False)]
+)
+def test_env_oracle_values(value, on, qbr, monkeypatch, capsys):
+    # above the oracle's qubit cap the cross-check announces that it skips
+    path = qbr("adder12.qbr", adder_source(12))
+    monkeypatch.setenv("QBORROW_ORACLE", value)
+    assert main(["verify", path]) == EXIT_SAFE
+    assert ("oracle cross-check skipped" in capsys.readouterr().err) is on
 
 
 # --------------------------------------------------------------------------

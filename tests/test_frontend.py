@@ -100,6 +100,17 @@ def test_crlf_line_endings():
     assert [(t.lexeme, t.line, t.column) for t in toks[4:6]] == [(";", 1, 10), ("X", 2, 1)]
 
 
+def test_line_comment_ends_at_lone_cr():
+    # QBorrow.g4's LINE_COMMENT stops at '\r' as well as at '\n'
+    ast = parse_source("borrow a;// c\rX[a];")
+    assert ast.statements[-1] == GateStmt("X", (RegRef("a", None),))
+
+
+def test_crlf_positions_after_line_comment():
+    toks = tokenize("let a = 1; // c\r\nX[a];\r\n")
+    assert [(t.lexeme, t.line, t.column) for t in toks[4:6]] == [(";", 1, 10), ("X", 2, 1)]
+
+
 def test_unterminated_block_comment():
     with pytest.raises(UnterminatedComment):
         tokenize("let a = 1; /* oops")

@@ -1,0 +1,172 @@
+"""Sweeping of the cond2 miter, and single-gate-deletion mutants of the
+benchmark programs checked against exhaustive enumeration."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qborrow
+from qborrow.benchgen import adder_source, mcx_source
+from qborrow.boolform import _sweep, cond_restore_plus, count_nodes, track, variables
+from qborrow.elaborator import elaborate_source
+from qborrow.oracle import exhaustive_safe
+from qborrow.verify import verify_circuit, witness_violates
+
+from conftest import mutant_sources
+
+
+def truth_table(e, vs) -> int:
+    """Bit r of the result is the value of `e` on assignment r of `vs`."""
+    rows = 1 << len(vs)
+    full = (1 << rows) - 1
+    value = {}
+    for i, v in enumerate(vs):  # rows whose bit i is set: period 2^(i+1)
+        half = 1 << i
+        value[v] = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in value:
+            stack.pop()
+            continue
+        pending = [a for a in node.args if a not in value]
+        if pending:
+            stack.extend(pending)
+            continue
+        if node.op == "false":
+            value[node] = 0
+        elif node.op == "true":
+            value[node] = full
+        elif node.op == "not":
+            value[node] = full ^ value[node.args[0]]
+        elif node.op == "and":
+            acc = full
+            for a in node.args:
+                acc &= value[a]
+            value[node] = acc
+        else:
+            acc = 0
+            for a in node.args:
+                acc ^= value[a]
+            value[node] = acc
+        stack.pop()
+    return value[e]
+
+
+def unswept_miter(q, state):
+    store = state.store
+    deltas = [
+        store.xor([store.substitute(state[o], q, False), store.substitute(state[o], q, True)])
+        for o in sorted(state, key=lambda x: x.gid)
+        if o != q
+    ]
+    return store.or_(deltas)
+
+
+# --------------------------------------------------------------------------
+# the sweep
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_adder_cond2_sweeps_to_false(n):
+    c = elaborate_source(adder_source(n))
+    state = track(c)
+    for q in c.verify_qubits():
+        assert cond_restore_plus(q, state) is state.store.false, q.label
+
+
+def adder8_mutants():
+    return [elaborate_source(m) for m in mutant_sources(adder_source(8))]
+
+
+@pytest.mark.parametrize("circuits", ["corpus", "adder8_mutants"])
+def test_swept_cond2_equals_the_miter_on_every_assignment(circuits, request):
+    corpus = request.getfixturevalue("corpus") if circuits == "corpus" else adder8_mutants()
+    for c in corpus:
+        state = track(c)
+        for q in c.verify_qubits():
+            miter = unswept_miter(q, state)
+            swept = cond_restore_plus(q, state)
+            vs = variables(miter)
+            table = truth_table(miter, vs)
+            assert truth_table(swept, vs) == table
+            # the patterns satisfy each satisfiable miter here, and one that a
+            # pattern satisfies goes to the solver unswept
+            assert swept is miter or not table
+
+
+def test_sweep_keeps_the_function_of_formulas_no_pattern_satisfies():
+    # each satisfiable miter, conjoined with all but `free` literals of one
+    # of its satisfying assignments, is true on at most 2^free assignments:
+    # the patterns miss most of these, so the sweep rebuilds and merges a
+    # satisfiable formula
+    shrunk = 0
+    for c in adder8_mutants():
+        state = track(c)
+        store = state.store
+        for q in c.verify_qubits():
+            miter = unswept_miter(q, state)
+            vs = variables(miter)
+            table = truth_table(miter, vs)
+            if not table:
+                continue
+            row = (table & -table).bit_length() - 1
+            lits = [store.var(v) if row >> i & 1 else store.not_(store.var(v)) for i, v in enumerate(vs)]
+            for free in (2, 4):
+                e = store.and_(lits[free:] + [miter])
+                swept = _sweep(store, e)
+                assert truth_table(swept, vs) == truth_table(e, vs)
+                shrunk += count_nodes(swept) < count_nodes(e)
+    assert shrunk >= 10
+
+
+def run_report(path: Path, report: Path, hashseed: str) -> dict:
+    src = str(Path(qborrow.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QBORROW_")}
+    env.update(PYTHONPATH=src, PYTHONHASHSEED=hashseed)
+    subprocess.run(
+        [sys.executable, "-m", "qborrow.cli", "verify", str(path), "--report", str(report)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    doc = json.loads(report.read_text())
+    doc.pop("total_ms")
+    for v in doc["verdicts"]:
+        v.pop("solve_ms")
+    return doc
+
+
+def test_reports_identical_across_processes(tmp_path):
+    unsafe = mutant_sources(adder_source(8))[2]
+    for name, source in (("adder12", adder_source(12)), ("mutant", unsafe)):
+        path = tmp_path / f"{name}.qbr"
+        path.write_text(source)
+        first = run_report(path, tmp_path / f"{name}.1.json", "1")
+        second = run_report(path, tmp_path / f"{name}.2.json", "2")
+        assert first == second
+    assert any(v["status"] == "unsafe" for v in first["verdicts"])
+
+
+# --------------------------------------------------------------------------
+# mutants against the exhaustive oracle
+
+
+@pytest.mark.parametrize(
+    "source, count", [(adder_source(8), 53), (mcx_source(6), 64)], ids=["adder8", "mcx6"]
+)
+def test_mutant_verdicts_match_enumeration(source, count):
+    mutants = mutant_sources(source)
+    assert len(mutants) == count
+    for i, mutant in enumerate(mutants):
+        c = elaborate_source(mutant)
+        by_label = {q.label: q for q in c.qubits}
+        for v in verify_circuit(c).verdicts:
+            if v.status == "skipped":
+                continue
+            q = by_label[v.qubit]
+            assert v.status == ("safe" if exhaustive_safe(c, q).safe else "unsafe"), (i, v.qubit)
+            if v.status == "unsafe":
+                assert witness_violates(c, q, v.witness, v.violated), (i, v.qubit)
