@@ -217,36 +217,23 @@ class BoolStore:
     def or_(self, children: Iterable[BoolExpr]) -> BoolExpr:
         return self.not_(self.and_([self.not_(c) for c in children]))
 
-    def substitute(
-        self, e: BoolExpr, qubit: QubitId, value: bool, memo: dict | None = None
-    ) -> BoolExpr:
-        """Replace Var(qubit) by a constant; untouched subtrees keep identity.
+    def substitute(self, e: BoolExpr, qubit: QubitId, value: bool) -> BoolExpr:
+        """Replace Var(qubit) by a constant; untouched subtrees keep identity."""
+        return self._cofactor(_postorder([e]), qubit, value)[e]
 
-        `memo` maps nodes already rewritten for this same qubit and value to
-        their results; calls that pass one dict share that work."""
-        cache = {} if memo is None else memo
+    def _cofactor(
+        self, order: list[BoolExpr], qubit: QubitId, value: bool
+    ) -> dict[BoolExpr, BoolExpr]:
+        """Every node of `order` (children first) with Var(qubit) replaced by
+        a constant."""
         constant = self.true if value else self.false
-        stack = [e]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            if node.op in ("false", "true"):
-                cache[node] = node
-                stack.pop()
-                continue
-            if node.op == "var":
-                cache[node] = constant if node.qubit == qubit else node
-                stack.pop()
-                continue
-            pending = [c for c in node.args if c not in cache]
-            if pending:
-                stack.extend(pending)
-                continue
-            cache[node] = self._rebuild(node, [cache[c] for c in node.args])
-            stack.pop()
-        return cache[e]
+        out: dict[BoolExpr, BoolExpr] = {}
+        for node in order:
+            if node.op == "var" and node.qubit == qubit:
+                out[node] = constant
+            else:
+                out[node] = self._rebuild(node, [out[c] for c in node.args])
+        return out
 
     def _rebuild(self, node: BoolExpr, new_args: list[BoolExpr]) -> BoolExpr:
         """`node` with its children replaced, through the canonical constructors."""
@@ -259,93 +246,84 @@ class BoolStore:
         return self.xor(new_args)
 
 
-def evaluate(e: BoolExpr, env: Mapping[QubitId, bool]) -> bool:
-    """Evaluate under an assignment of every variable occurring in `e`."""
-    cache: dict[BoolExpr, bool] = {}
+def _reachable(e: BoolExpr) -> set[BoolExpr]:
+    """Every node below `e`, `e` included."""
+    seen = {e}
     stack = [e]
     while stack:
-        node = stack[-1]
-        if node in cache:
-            stack.pop()
-            continue
-        if node.op == "false":
-            cache[node] = False
-        elif node.op == "true":
-            cache[node] = True
-        elif node.op == "var":
-            cache[node] = bool(env[node.qubit])
-        else:
-            pending = [c for c in node.args if c not in cache]
+        for c in stack.pop().args:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+def _postorder(roots: Iterable[BoolExpr]) -> list[BoolExpr]:
+    """Every node below any of `roots`, children first and each node once.
+
+    A node's pending children are pushed in `args` order, so its last child
+    is walked first.  Tseitin numbers its variables in this order, and the
+    numbering steers the CDCL, so the order decides the witnesses."""
+    order: list[BoolExpr] = []
+    done: set[BoolExpr] = set()
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in done:
+                stack.pop()
+                continue
+            pending = [c for c in node.args if c not in done]
             if pending:
                 stack.extend(pending)
                 continue
-            values = [cache[c] for c in node.args]
-            if node.op == "not":
-                cache[node] = not values[0]
-            elif node.op == "and":
-                cache[node] = all(values)
-            else:
-                result = False
-                for v in values:
-                    result ^= v
-                cache[node] = result
-        stack.pop()
-    return cache[e]
+            done.add(node)
+            order.append(node)
+            stack.pop()
+    return order
+
+
+def evaluate(e: BoolExpr, env: Mapping[QubitId, bool]) -> bool:
+    """Evaluate under an assignment of every variable occurring in `e`."""
+    value: dict[BoolExpr, bool] = {}
+    for node in _postorder([e]):
+        op = node.op
+        if op == "var":
+            value[node] = bool(env[node.qubit])
+        elif op == "not":
+            value[node] = not value[node.args[0]]
+        elif op == "and":
+            value[node] = all(value[c] for c in node.args)
+        elif op == "xor":
+            result = False
+            for c in node.args:
+                result ^= value[c]
+            value[node] = result
+        else:
+            value[node] = op == "true"
+    return value[e]
 
 
 def variables(e: BoolExpr) -> list[QubitId]:
     """Input variables of `e`, sorted by global id."""
-    found: dict[QubitId, None] = {}
-    seen: set[BoolExpr] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if node.op == "var":
-            found[node.qubit] = None
-        else:
-            stack.extend(node.args)
-    return sorted(found, key=lambda q: q.gid)
+    return sorted((n.qubit for n in _reachable(e) if n.op == "var"), key=lambda q: q.gid)
 
 
 def count_nodes(e: BoolExpr) -> int:
-    seen: set[BoolExpr] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(node.args)
-    return len(seen)
+    return len(_reachable(e))
 
 
 def to_prefix(e: BoolExpr) -> str:
     """Textual prefix form, e.g. `xor(q4, and(q3, xor(a, and(q1, q2))))`."""
-    done: dict[BoolExpr, str] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        if node.op in ("false", "true"):
-            done[node] = node.op
-            stack.pop()
-            continue
+    text: dict[BoolExpr, str] = {}
+    for node in _postorder([e]):
         if node.op == "var":
-            done[node] = node.qubit.label
-            stack.pop()
-            continue
-        pending = [c for c in node.args if c not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        done[node] = f"{node.op}({', '.join(done[c] for c in node.args)})"
-        stack.pop()
-    return done[e]
+            text[node] = node.qubit.label
+        elif node.args:
+            text[node] = f"{node.op}({', '.join(text[c] for c in node.args)})"
+        else:
+            text[node] = node.op
+    return text[e]
 
 
 # --------------------------------------------------------------------------
@@ -370,9 +348,9 @@ class FormulaState:
         return self.formulas.items()
 
 
-def init_state(c: FlatCircuit, store: BoolStore | None = None) -> FormulaState:
+def init_state(c: FlatCircuit) -> FormulaState:
     """b_q = q for dirty qubits, b_q = false for clean (alloc'd) qubits."""
-    store = store or BoolStore()
+    store = BoolStore()
     formulas = {}
     for q, role in zip(c.qubits, c.roles):
         formulas[q] = store.false if role is QubitRole.CLEAN else store.var(q)
@@ -392,9 +370,9 @@ def apply_gate(s: FormulaState, g: McxGate) -> FormulaState:
     return FormulaState(s.store, formulas)
 
 
-def track(c: FlatCircuit, store: BoolStore | None = None) -> FormulaState:
+def track(c: FlatCircuit) -> FormulaState:
     """Fold apply_gate over the whole gate list starting from init_state."""
-    state = init_state(c, store)
+    state = init_state(c)
     for g in c.gates:
         _update(state.formulas, g, state.store)
     return state
@@ -418,20 +396,12 @@ def cond_restore_plus(q: QubitId, s: FormulaState) -> BoolExpr:
     requires, hence the name.
     """
     store = s.store
-    # one memo per constant, shared by all outputs: their formulas share subtrees
-    memo0: dict = {}
-    memo1: dict = {}
-    disjuncts = []
-    for other in sorted(s.formulas, key=lambda x: x.gid):
-        if other == q:
-            continue
-        b = s[other]
-        delta = store.xor(
-            [store.substitute(b, q, False, memo0), store.substitute(b, q, True, memo1)]
-        )
-        if delta is not store.false:
-            disjuncts.append(delta)
-    return _sweep(store, store.or_(disjuncts))
+    outputs = [s[other] for other in sorted(s.formulas, key=lambda x: x.gid) if other != q]
+    # one walk over all outputs, cofactored once per constant: they share subtrees
+    order = _postorder(outputs)
+    zero = store._cofactor(order, q, False)
+    one = store._cofactor(order, q, True)
+    return _sweep(store, store.or_([store.xor([zero[b], one[b]]) for b in outputs]))
 
 
 # --------------------------------------------------------------------------
@@ -441,26 +411,6 @@ def cond_restore_plus(q: QubitId, s: FormulaState) -> BoolExpr:
 _SWEEP_SEED = 0x5EED
 _SWEEP_BITS = 256  # patterns simulated at once, one per bit of a Python int
 _SWEEP_MASK = (1 << _SWEEP_BITS) - 1
-
-
-def _topological(root: BoolExpr) -> list[BoolExpr]:
-    """Every node below `root`, children first, in the order of `args`."""
-    order: list[BoolExpr] = []
-    done: set[BoolExpr] = set()
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        pending = [c for c in node.args if c not in done]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        done.add(node)
-        order.append(node)
-        stack.pop()
-    return order
 
 
 def _simulate(order: list[BoolExpr]) -> dict[BoolExpr, int]:
@@ -502,7 +452,7 @@ def _sweep(store: BoolStore, e: BoolExpr) -> BoolExpr:
     """
     if e.op in ("false", "true"):
         return e
-    order = _topological(e)
+    order = _postorder([e])
     sig = _simulate(order)
     if sig[e]:
         return e

@@ -18,6 +18,12 @@ KEYWORDS = frozenset(["let", "borrow", "borrow@", "alloc", "release", "for", "to
 
 INT64_MAX = 2**63 - 1
 
+# deepest statement accepted: the `for` bodies around it plus the operators
+# and parentheses in it.  This bounds the depth of the AST, and so the
+# recursion of the parser, the printer and the elaborator.  CPython's own
+# parser stops at 200 levels of parentheses.
+MAX_NESTING = 200
+
 Loc = tuple[int, int]  # (line, column), both 1-based
 
 
@@ -195,6 +201,15 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.fors = 0  # `for` bodies open around the current statement
+        self.depth = 0  # self.fors plus the operators and parentheses read since
+
+    def nest(self, tok: Token) -> None:
+        """Count one level of nesting at `tok`; see MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            expected = (f"at most {MAX_NESTING} levels of nesting",)
+            raise ParseError(tok.line, tok.column, expected, repr(tok.lexeme))
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -235,6 +250,7 @@ class _Parser:
         if tok is None or tok.kind != "keyword":
             raise self.error(("statement",))
         loc = tok.loc
+        self.depth = self.fors
         if tok.lexeme == "let":
             self.pos += 1
             name = self.take("identifier").lexeme
@@ -264,16 +280,19 @@ class _Parser:
             return GateStmt(tok.lexeme, tuple(operands), loc)
         if tok.lexeme == "for":
             self.pos += 1
+            self.nest(tok)
             var = self.take("identifier").lexeme
             self.take("operator", "=")
             start = self.expr()
             self.take("keyword", "to")
             stop = self.expr()
             self.take("punctuation", "{")
+            self.fors += 1
             body = []
             while not self.at("punctuation", "}"):
                 body.append(self.statement())
             self.take("punctuation", "}")
+            self.fors -= 1
             return For(var, start, stop, tuple(body), loc)
         raise self.error(("statement",))
 
@@ -291,12 +310,14 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "operator" and tok.lexeme in "+-":
             self.pos += 1
+            self.nest(tok)
             operand = self.term()
             left: Expr = Neg(operand, tok.loc) if tok.lexeme == "-" else operand
         else:
             left = self.term()
         while self.at("operator", "+") or self.at("operator", "-"):
             op_tok = self.take("operator")
+            self.nest(op_tok)
             right = self.term()
             left = BinOp(op_tok.lexeme, left, right, op_tok.loc)
         return left
@@ -305,6 +326,7 @@ class _Parser:
         left = self.factor()
         while self.at("operator", "*"):
             op_tok = self.take("operator")
+            self.nest(op_tok)
             right = self.factor()
             left = BinOp("*", left, right, op_tok.loc)
         return left
@@ -321,6 +343,7 @@ class _Parser:
             return Name(tok.lexeme, tok.loc)
         if tok.kind == "punctuation" and tok.lexeme == "(":
             self.pos += 1
+            self.nest(tok)
             inner = self.expr()
             self.take("punctuation", ")")
             return inner

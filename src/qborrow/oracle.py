@@ -15,7 +15,6 @@ sampling; they define ground truth for the acceptance tests.
 import numpy as np
 
 from .elaborator import FlatCircuit, QubitId
-from .elaborator import apply_classical  # noqa: F401  (the classical reference, re-exported)
 from .errors import QborrowError
 
 EXHAUSTIVE_CAP = 20

@@ -6,10 +6,11 @@ geometric restarts and phase saving.  Every satisfiable answer is validated
 against the source expression before being returned.
 """
 
+import heapq
 import time
 from dataclasses import dataclass, field
 
-from .boolform import BoolExpr, evaluate, variables
+from .boolform import BoolExpr, _postorder, evaluate, variables
 from .elaborator import QubitId
 from .errors import QborrowError
 
@@ -79,21 +80,10 @@ def tseitin(e: BoolExpr, max_clauses: int = DEFAULT_MAX_CLAUSES) -> tuple[Cnf, i
         clauses.append(clause)
 
     lit: dict[BoolExpr, int] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if node in lit:
-            stack.pop()
-            continue
+    for node in _postorder([e]):
         if node.op == "var":
             lit[node] = var_map[node.qubit]
-            stack.pop()
-            continue
-        pending = [c for c in node.args if c not in lit]
-        if pending:
-            stack.extend(pending)
-            continue
-        if node.op == "not":
+        elif node.op == "not":
             lit[node] = -lit[node.args[0]]
         elif node.op == "and":
             v = fresh()
@@ -115,7 +105,6 @@ def tseitin(e: BoolExpr, max_clauses: int = DEFAULT_MAX_CLAUSES) -> tuple[Cnf, i
             lit[node] = acc
         else:
             raise ValueError(f"constant below the root in canonical expr: {node.op}")
-        stack.pop()
     return Cnf(clauses, next_var, var_map, e), lit[e]
 
 
@@ -147,9 +136,6 @@ class _Cdcl:
         self.qhead = 0
         self.conflicts = 0
         self.ok = True
-        import heapq
-
-        self._heapq = heapq
         for v in range(1, n_vars + 1):
             heapq.heappush(self.order, (0.0, v))
 
@@ -231,7 +217,7 @@ class _Cdcl:
             for u in range(1, self.n + 1):
                 self.activity[u] *= 1e-100
             self.var_inc *= 1e-100
-        self._heapq.heappush(self.order, (-self.activity[v], v))
+        heapq.heappush(self.order, (-self.activity[v], v))
 
     def analyze(self, confl: list[int]) -> tuple[list[int], int]:
         learnt: list[int] = [0]
@@ -280,14 +266,14 @@ class _Cdcl:
             self.phase[v] = self.assign[v] > 0
             self.assign[v] = 0
             self.reason[v] = None
-            self._heapq.heappush(self.order, (-self.activity[v], v))
+            heapq.heappush(self.order, (-self.activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
 
     def decide(self) -> int | None:
         while self.order:
-            neg_act, v = self._heapq.heappop(self.order)
+            neg_act, v = heapq.heappop(self.order)
             if self.assign[v] == 0 and -neg_act == self.activity[v]:
                 return v if self.phase[v] else -v
         for v in range(1, self.n + 1):  # heap exhausted by stale entries
@@ -349,15 +335,19 @@ def solve(
     an Unknown verdict, never as Safe or Unsafe.  A sat model is checked
     against every clause and against the source expression before returning.
     """
-    solver = _Cdcl(c.n_vars, budget_conflicts, budget_seconds)
-    for clause in c.clauses:
-        solver.add_clause(list(clause))
-    if root is not None:
-        solver.add_clause([root])
-    if not solver.search():
+    if c.n_vars:
+        solver = _Cdcl(c.n_vars, budget_conflicts, budget_seconds)
+        for clause in c.clauses:
+            solver.add_clause(list(clause))
+        if root is not None:
+            solver.add_clause([root])
+        if not solver.search():
+            return SolveResult("unsat")
+        full = {v: solver.assign[v] > 0 for v in range(1, c.n_vars + 1)}
+    elif [] in c.clauses:  # a constant condition needs no search
         return SolveResult("unsat")
-
-    full = {v: solver.assign[v] > 0 for v in range(1, c.n_vars + 1)}
+    else:
+        full = {}
     for clause in c.clauses:
         if not any(full[abs(l)] == (l > 0) for l in clause):
             raise QborrowError("internal error: sat model violates a clause")

@@ -251,6 +251,14 @@ def verify_circuit(
 ) -> Report:
     """Decide safety of every borrow-verified qubit of an elaborated circuit."""
     t_start = time.perf_counter()
+    external = None
+    if solver.startswith("cmd:"):
+        external = shlex.split(solver[4:])
+        if not external:
+            raise ValueError("empty external solver command")
+    elif solver != "internal":
+        raise ValueError(f"unknown solver {solver!r} (expected internal or cmd:<exe>)")
+
     state = track(circuit)
     targets = circuit.verify_qubits()
     conds = {
@@ -264,14 +272,6 @@ def verify_circuit(
         Path(emit_smtlib_dir).mkdir(parents=True, exist_ok=True)
     if emit_dimacs_dir is not None or emit_smtlib_dir is not None:
         _emit_all(conds, stem, emit_dimacs_dir, emit_smtlib_dir)
-
-    external = None
-    if solver.startswith("cmd:"):
-        external = shlex.split(solver[4:])
-        if not external:
-            raise ValueError("empty external solver command")
-    elif solver != "internal":
-        raise ValueError(f"unknown solver {solver!r} (expected internal or cmd:<exe>)")
 
     def decide(e: BoolExpr, q: QubitId, name: str) -> Decision:
         if external is None:

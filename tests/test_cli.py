@@ -212,6 +212,17 @@ def test_unknown_solver_name(qbr):
     assert main(["verify", path, "--solver", "bogus"]) == EXIT_ERROR
 
 
+@pytest.mark.parametrize(
+    "solver, emit", [("bogus", "--emit-smtlib"), ("cmd:", "--emit-dimacs")]
+)
+def test_bad_solver_is_rejected_before_anything_is_emitted(solver, emit, tmp_path):
+    (tmp_path / "adder8.qbr").write_text(adder_source(8))
+    proc = run_cli(["verify", "adder8.qbr", "--solver", solver, emit, "out"], cwd=tmp_path)
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    assert "error:" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------------------
 # emission
 
@@ -400,6 +411,24 @@ def test_malformed_input_exits_2(args, env, tmp_path):
     assert proc.returncode == EXIT_ERROR, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "let x = " + "(" * 400 + "1" + ")" * 400 + ";\n",
+        "let x = " + "+".join(["1"] * 3000) + ";\n",
+        "borrow a;\n" + "for i = 1 to 1 {\n" * 1000 + "X[a];\n" + "}\n" * 1000,
+    ],
+    ids=["parentheses", "operator-chain", "for-loops"],
+)
+def test_deep_nesting_exits_2(source, tmp_path):
+    (tmp_path / "deep.qbr").write_text(source)
+    proc = run_cli(["verify", "deep.qbr"], cwd=tmp_path)
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: deep.qbr:")
+    assert "levels of nesting" in proc.stderr
 
 
 def test_source_that_is_not_utf8_exits_2(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from qborrow.frontend import (
     GATE_ARITY,
     INT64_MAX,
+    MAX_NESTING,
     BinOp,
     Declare,
     For,
@@ -24,6 +25,7 @@ from qborrow.frontend import (
     print_program,
     tokenize,
 )
+from qborrow.elaborator import elaborate_source
 
 
 # --------------------------------------------------------------------------
@@ -221,6 +223,37 @@ def test_error_location_on_later_line():
 def test_sequence_of_statements():
     prog = parse_source("let a = 1; let b = 2; borrow q;")
     assert len(prog.statements) == 3
+
+
+def nested_parens(depth):
+    return "borrow a;\nX[a[" + "(" * depth + "1" + ")" * depth + "]];\n"
+
+
+def operator_chain(depth):
+    return "borrow a;\nX[a[" + "*".join(["1"] * (depth + 1)) + "]];\n"
+
+
+def nested_fors(depth):
+    loops = "".join(f"for i{k} = 1 to 1 {{\n" for k in range(depth))
+    return "borrow a;\n" + loops + "X[a];\n" + "}\n" * depth
+
+
+@pytest.mark.parametrize(
+    "program, at",
+    [
+        (nested_parens, "2:" + str(5 + MAX_NESTING)),
+        (operator_chain, "2:" + str(6 + 2 * MAX_NESTING)),
+        (nested_fors, str(2 + MAX_NESTING) + ":1"),
+    ],
+)
+def test_nesting_is_capped(program, at):
+    # MAX_NESTING levels parse, elaborate and print; one more is a located error
+    source = program(MAX_NESTING)
+    ast = parse_source(source)
+    assert parse_source(print_program(ast)) == ast
+    assert len(elaborate_source(source).gates) == 1
+    with pytest.raises(ParseError, match=f"^{at}: expected at most {MAX_NESTING} levels"):
+        parse_source(program(MAX_NESTING + 1))
 
 
 # --------------------------------------------------------------------------

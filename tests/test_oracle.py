@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qborrow import elaborate_source
-from qborrow.elaborator import QubitId
+from qborrow.elaborator import QubitId, apply_classical
 from qborrow.oracle import (
     BELL_CAP,
     EXHAUSTIVE_CAP,
@@ -17,7 +17,6 @@ from qborrow.oracle import (
     STATE_ZERO,
     OracleVerdict,
     TooManyQubits,
-    apply_classical,
     bell_projector,
     check_bell_preservation,
     check_state_restoration,

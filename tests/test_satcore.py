@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from qborrow import (
     tseitin,
     variables,
 )
+from qborrow import satcore
+from qborrow.boolform import _sweep, count_nodes, to_prefix
 from qborrow.satcore import ResourceLimit
 from qborrow.elaborator import QubitId
 
@@ -87,6 +90,73 @@ def test_input_numbering_follows_gid_order():
     e = s.and_([s.var(V[4]), s.var(V[1])])
     cnf, _ = tseitin(e)
     assert cnf.var_map[V[1]] == 1 and cnf.var_map[V[4]] == 2
+
+
+def test_tseitin_numbering_is_pinned():
+    # the numbering steers the CDCL and so decides the witnesses: a shared
+    # subterm under not, and and xor, encoded children first, last child first
+    s = BoolStore()
+    a, b, c, d = (s.var(V[i]) for i in range(4))
+    shared = s.and_([a, b])
+    x = s.xor([shared, c])
+    e = s.xor([s.and_([x, s.not_(shared), d]), s.and_([x, c]), shared])
+    assert to_prefix(e) == (
+        "xor(and(x3, xor(x3, and(x1, x2))), "
+        "and(x4, xor(x3, and(x1, x2)), not(and(x1, x2))), and(x1, x2))"
+    )
+    cnf, root = tseitin(e)
+    assert cnf.var_map == {V[0]: 1, V[1]: 2, V[2]: 3, V[3]: 4}
+    assert (cnf.n_vars, root) == (10, 10)
+    assert cnf.clauses == [
+        [-5, 1], [-5, 2], [5, -1, -2],
+        [-6, 3, 5], [-6, -3, -5], [6, -3, 5], [6, 3, -5],
+        [-7, 4], [-7, 6], [-7, -5], [7, -4, -6, 5],
+        [-8, 3], [-8, 6], [8, -3, -6],
+        [-9, 8, 7], [-9, -8, -7], [9, -8, 7], [9, 8, -7],
+        [-10, 9, 5], [-10, -9, -5], [10, -9, 5], [10, 9, -5],
+    ]
+
+
+def test_formula_deeper_than_the_recursion_limit():
+    s = BoolStore()
+    a, b = s.var(V[0]), s.var(V[1])
+    depth = sys.getrecursionlimit() + 100
+    e = a
+    for i in range(depth):
+        e = s.and_([e, b]) if i % 2 == 0 else s.xor([e, a])
+
+    def truth(va, vb):
+        value = va
+        for i in range(depth):
+            value = (value and vb) if i % 2 == 0 else (value != va)
+        return value
+
+    assignments = list(itertools.product([False, True], repeat=2))
+    assert count_nodes(e) == depth + 2
+    assert variables(e) == [V[0], V[1]]
+    assert len(to_prefix(e)) > depth
+    one = s.substitute(e, V[0], True)
+    for va, vb in assignments:
+        assert evaluate(e, {V[0]: va, V[1]: vb}) == truth(va, vb)
+        assert evaluate(one, {V[0]: va, V[1]: vb}) == truth(True, vb)
+    cnf, root = tseitin(e)
+    assert cnf.n_vars == 2 + depth
+    assert solve(cnf, root).is_sat == any(truth(va, vb) for va, vb in assignments)
+    assert _sweep(s, e) is e  # some pattern satisfies e
+    # no pattern satisfies e AND NOT a AND NOT b, so the sweep rebuilds it
+    swept = _sweep(s, s.and_([e, s.not_(a), s.not_(b)]))
+    assert not any(evaluate(swept, {V[0]: va, V[1]: vb}) for va, vb in assignments)
+
+
+def test_constant_cnf_skips_the_cdcl(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("constant CNF handed to the CDCL")
+
+    monkeypatch.setattr(satcore, "_Cdcl", no_search)
+    s = BoolStore()
+    assert solve(*tseitin(s.false)).status == "unsat"
+    res = solve(*tseitin(s.true))
+    assert res.is_sat and res.model == {}
 
 
 @settings(max_examples=200, deadline=None)
