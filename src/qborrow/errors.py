@@ -13,3 +13,7 @@ class SourceError(QborrowError):
         self.column = column
         self.message = message
         super().__init__(f"{line}:{column}: {message}")
+
+
+class SelfCheckError(QborrowError):
+    """A result failed its own check: a bug, never a verdict."""

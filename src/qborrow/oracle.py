@@ -94,7 +94,7 @@ class OracleVerdict:
         )
 
 
-def exhaustive_safe(c: FlatCircuit, q: QubitId, cap: int = EXHAUSTIVE_CAP) -> OracleVerdict:
+def exhaustive_safe(c: FlatCircuit, q: QubitId) -> OracleVerdict:
     """Decide safety of returning dirty qubit q by enumerating all inputs.
 
     Safe iff for every input x the circuit preserves bit q, and flipping
@@ -102,9 +102,7 @@ def exhaustive_safe(c: FlatCircuit, q: QubitId, cap: int = EXHAUSTIVE_CAP) -> Or
     -- together: the circuit acts as (identity on q) tensor (rest).
     """
     n = c.n_qubits
-    if n > cap:
-        raise TooManyQubits(f"{n} qubits exceed the cap of {cap}")
-    values = permutation(c)
+    values = permutation(c)  # raises above EXHAUSTIVE_CAP
     idx = np.arange(1 << n, dtype=np.int64)
     qmask = 1 << (n - 1 - q.gid)
     keeps_q = ((values ^ idx) & qmask) == 0
@@ -117,11 +115,11 @@ def exhaustive_safe(c: FlatCircuit, q: QubitId, cap: int = EXHAUSTIVE_CAP) -> Or
     return OracleVerdict(False, unpack_basis(witness, n))
 
 
-def simulate_statevector(c: FlatCircuit, psi: np.ndarray, cap: int = STATEVECTOR_CAP) -> np.ndarray:
+def simulate_statevector(c: FlatCircuit, psi: np.ndarray) -> np.ndarray:
     """Permute amplitudes: output[index(f(x))] = input[index(x)]."""
     n = c.n_qubits
-    if n > cap:
-        raise TooManyQubits(f"{n} qubits exceed the statevector cap of {cap}")
+    if n > STATEVECTOR_CAP:
+        raise TooManyQubits(f"{n} qubits exceed the statevector cap of {STATEVECTOR_CAP}")
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (1 << n,):
         raise ValueError(f"state must have length {1 << n}")
@@ -162,9 +160,7 @@ def _split(values: np.ndarray, qpos: int) -> tuple[np.ndarray, np.ndarray]:
     return bit, rest
 
 
-def check_state_restoration(
-    c: FlatCircuit, q: QubitId, phi, cap: int = RESTORE_CAP
-) -> bool:
+def check_state_restoration(c: FlatCircuit, q: QubitId, phi) -> bool:
     """Does the circuit return qubit q to pure state phi for every basis
     environment?
 
@@ -181,8 +177,8 @@ def check_state_restoration(
     environments can be checked at once.
     """
     n = c.n_qubits
-    if n > cap:
-        raise TooManyQubits(f"{n} qubits exceed the restoration cap of {cap}")
+    if n > RESTORE_CAP:
+        raise TooManyQubits(f"{n} qubits exceed the restoration cap of {RESTORE_CAP}")
     phi0, phi1 = complex(phi[0]), complex(phi[1])
     norm = abs(phi0) ** 2 + abs(phi1) ** 2
     if abs(norm - 1.0) > TOL:
@@ -213,7 +209,7 @@ def check_state_restoration(
     return bool(ok.all())
 
 
-def check_bell_preservation(c: FlatCircuit, q: QubitId, cap: int = BELL_CAP) -> bool:
+def check_bell_preservation(c: FlatCircuit, q: QubitId) -> bool:
     """Does the circuit preserve a Bell pair between q and an external qubit?
 
     A hypothetical partner q' (untouched by the circuit) is appended and
@@ -225,8 +221,8 @@ def check_bell_preservation(c: FlatCircuit, q: QubitId, cap: int = BELL_CAP) -> 
     far beyond the tolerance.
     """
     n = c.n_qubits
-    if n > cap:
-        raise TooManyQubits(f"{n} qubits exceed the Bell cap of {cap}")
+    if n > BELL_CAP:
+        raise TooManyQubits(f"{n} qubits exceed the Bell cap of {BELL_CAP}")
     values = permutation(c)
     qpos = n - 1 - q.gid
     base = _env_indices(n, qpos)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .boolform import BoolExpr, _postorder, evaluate, variables
 from .elaborator import QubitId
-from .errors import QborrowError
+from .errors import QborrowError, SelfCheckError
 
 DEFAULT_BUDGET_CONFLICTS = 100_000_000
 DEFAULT_BUDGET_SECONDS = 600.0
@@ -52,7 +52,7 @@ class SolveResult:
 # --------------------------------------------------------------------------
 
 
-def tseitin(e: BoolExpr, max_clauses: int = DEFAULT_MAX_CLAUSES) -> tuple[Cnf, int | None]:
+def tseitin(e: BoolExpr) -> tuple[Cnf, int | None]:
     """Encode a canonical expression; (CNF, root literal to assert).
 
     The root is None for constant expressions: an always-false input becomes
@@ -75,8 +75,8 @@ def tseitin(e: BoolExpr, max_clauses: int = DEFAULT_MAX_CLAUSES) -> tuple[Cnf, i
         return next_var
 
     def emit(clause: list[int]) -> None:
-        if len(clauses) >= max_clauses:
-            raise SizeCap(f"CNF exceeded the {max_clauses}-clause cap")
+        if len(clauses) >= DEFAULT_MAX_CLAUSES:
+            raise SizeCap(f"CNF exceeded the {DEFAULT_MAX_CLAUSES}-clause cap")
         clauses.append(clause)
 
     lit: dict[BoolExpr, int] = {}
@@ -104,7 +104,7 @@ def tseitin(e: BoolExpr, max_clauses: int = DEFAULT_MAX_CLAUSES) -> tuple[Cnf, i
                 acc = w
             lit[node] = acc
         else:
-            raise ValueError(f"constant below the root in canonical expr: {node.op}")
+            raise SelfCheckError(f"constant below the root in canonical expr: {node.op}")
     return Cnf(clauses, next_var, var_map, e), lit[e]
 
 
@@ -350,12 +350,12 @@ def solve(
         full = {}
     for clause in c.clauses:
         if not any(full[abs(l)] == (l > 0) for l in clause):
-            raise QborrowError("internal error: sat model violates a clause")
+            raise SelfCheckError("sat model violates a clause")
     if root is not None and full[abs(root)] != (root > 0):
-        raise QborrowError("internal error: sat model violates the root assertion")
+        raise SelfCheckError("sat model violates the root assertion")
     model = {q: full[idx] for q, idx in c.var_map.items()}
     if c.source is not None and not evaluate(c.source, model):
-        raise QborrowError("internal error: sat model fails the source expression")
+        raise SelfCheckError("sat model fails the source expression")
     return SolveResult("sat", model)
 
 

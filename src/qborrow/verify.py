@@ -1,9 +1,10 @@
 """Verification driver: decide the safety of every borrowed qubit.
 
 For each borrow-verified qubit of an elaborated circuit, build cond1 and
-cond2 from the tracked formulas and decide both, with the internal CDCL
-solver or an external SMT-LIB2 solver.  Either condition satisfiable means
-Unsafe; both unsatisfiable means Safe; a budget that runs out means Unknown.
+then cond2 from the tracked formulas and decide them, with the internal CDCL
+solver or an external SMT-LIB2 solver.  The first satisfiable condition means
+Unsafe, and cond2 is then built only to be emitted; both unsatisfiable means
+Safe; a budget that runs out means Unknown.
 """
 
 import json
@@ -18,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .boolform import BoolExpr, cond_restore_plus, cond_restore_zero, count_nodes, track
 from .elaborator import FlatCircuit, QubitId, apply_classical
+from .errors import SelfCheckError
 from .satcore import (
     DEFAULT_BUDGET_CONFLICTS,
     DEFAULT_BUDGET_SECONDS,
@@ -172,30 +174,6 @@ def _decide_external(
         os.unlink(tmp.name)
 
 
-def _verdict(q: QubitId, c1: BoolExpr, c2: BoolExpr, decide) -> Verdict:
-    """cond2 is decided only when cond1 is not sat."""
-    nodes = count_nodes(c1) + count_nodes(c2)
-    d1 = decide(c1, q, "cond1")
-    if d1.status == "sat":
-        return Verdict(
-            q.label, "unsafe", violated="cond1", witness=d1.witness, solve_ms=d1.ms,
-            formula_nodes=nodes, cnf_vars=d1.cnf_vars, cnf_clauses=d1.cnf_clauses,
-        )
-    d2 = decide(c2, q, "cond2")
-    stats = dict(
-        solve_ms=d1.ms + d2.ms,
-        formula_nodes=nodes,
-        cnf_vars=d1.cnf_vars + d2.cnf_vars,
-        cnf_clauses=d1.cnf_clauses + d2.cnf_clauses,
-    )
-    if d2.status == "sat":
-        return Verdict(q.label, "unsafe", violated="cond2", witness=d2.witness, **stats)
-    if d1.status == "unsat" and d2.status == "unsat":
-        return Verdict(q.label, "safe", **stats)
-    budget = d1.budget if d1.status == "unknown" else d2.budget
-    return Verdict(q.label, "unknown", budget=budget, **stats)
-
-
 # ---------------------------------------------------------------------------
 # the driver
 
@@ -221,22 +199,30 @@ def witness_violates(c: FlatCircuit, q: QubitId, witness: dict[str, bool], which
     return any(y0[i] != y1[i] for i in range(c.n_qubits) if i != q.gid)
 
 
-def _emit_all(conds, stem: str, dimacs_dir, smtlib_dir):
-    for q, (c1, c2) in conds.items():
-        for name, e in (("cond1", c1), ("cond2", c2)):
-            if dimacs_dir is not None:
-                cnf, root = tseitin(e)
-                path = Path(dimacs_dir) / f"{stem}.{q.label}.{name}.cnf"
-                path.write_text(emit_dimacs(cnf, root))
-            if smtlib_dir is not None:
-                path = Path(smtlib_dir) / f"{stem}.{q.label}.{name}.smt2"
-                path.write_text(emit_smtlib(e))
-
-
-def _smt_path(smtlib_dir, stem: str, q: QubitId, name: str) -> Path | None:
-    if smtlib_dir is None:
-        return None
-    return Path(smtlib_dir) / f"{stem}.{q.label}.{name}.smt2"
+def _verdict(circuit: FlatCircuit, q: QubitId, state, write, decide) -> Verdict:
+    """Build, write (when `write` is given) and decide cond1, then cond2.
+    The first sat condition settles the verdict; cond2 is then built only
+    to be written.  The stats sum over the decided conditions."""
+    v = Verdict(q.label, "safe")
+    # the builders are looked up per call, so wrappers set on this module see them
+    for name, build in (("cond1", cond_restore_zero), ("cond2", cond_restore_plus)):
+        if v.status == "unsafe":  # settled by cond1
+            if write is not None:
+                write(build(q, state), q, name)
+            break
+        e = build(q, state)
+        d = decide(e, write(e, q, name) if write is not None else None)
+        v.solve_ms += d.ms
+        v.formula_nodes += count_nodes(e)
+        v.cnf_vars += d.cnf_vars
+        v.cnf_clauses += d.cnf_clauses
+        if d.status == "sat":
+            if d.witness is not None and not witness_violates(circuit, q, d.witness, name):
+                raise SelfCheckError(f"{q.label}: {name} witness {d.witness} does not replay")
+            v.status, v.violated, v.witness, v.budget = "unsafe", name, d.witness, None
+        elif d.status == "unknown" and v.status == "safe":
+            v.status, v.budget = "unknown", d.budget
+    return v
 
 
 def verify_circuit(
@@ -260,26 +246,32 @@ def verify_circuit(
         raise ValueError(f"unknown solver {solver!r} (expected internal or cmd:<exe>)")
 
     state = track(circuit)
-    targets = circuit.verify_qubits()
-    conds = {
-        q: (cond_restore_zero(q, state), cond_restore_plus(q, state)) for q in targets
-    }
-
     stem = Path(program).stem if program != "<memory>" else "circuit"
-    if emit_dimacs_dir is not None:
-        Path(emit_dimacs_dir).mkdir(parents=True, exist_ok=True)
-    if emit_smtlib_dir is not None:
-        Path(emit_smtlib_dir).mkdir(parents=True, exist_ok=True)
-    if emit_dimacs_dir is not None or emit_smtlib_dir is not None:
-        _emit_all(conds, stem, emit_dimacs_dir, emit_smtlib_dir)
+    for d in (emit_dimacs_dir, emit_smtlib_dir):
+        if d is not None:
+            Path(d).mkdir(parents=True, exist_ok=True)
 
-    def decide(e: BoolExpr, q: QubitId, name: str) -> Decision:
+    def write(e: BoolExpr, q: QubitId, name: str) -> Path | None:
+        """Write one condition's files; returns the SMT-LIB2 script path."""
+        base = f"{stem}.{q.label}.{name}"
+        if emit_dimacs_dir is not None:
+            (Path(emit_dimacs_dir) / f"{base}.cnf").write_text(emit_dimacs(*tseitin(e)))
+        if emit_smtlib_dir is None:
+            return None
+        path = Path(emit_smtlib_dir) / f"{base}.smt2"
+        path.write_text(emit_smtlib(e))
+        return path
+
+    def decide(e: BoolExpr, script: Path | None) -> Decision:
         if external is None:
             return _decide_internal(e, budget_conflicts, budget_seconds)
-        script = _smt_path(emit_smtlib_dir, stem, q, name)
         return _decide_external(e, external, budget_seconds, script)
 
-    verdicts = [_verdict(q, *conds[q], decide) for q in targets]
+    emitting = emit_dimacs_dir is not None or emit_smtlib_dir is not None
+    verdicts = [
+        _verdict(circuit, q, state, write if emitting else None, decide)
+        for q in circuit.verify_qubits()
+    ]
     verdicts.extend(Verdict(q.label, "skipped") for q in circuit.skipped_qubits())
 
     total_ms = _ms_since(t_start)

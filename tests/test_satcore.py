@@ -228,6 +228,17 @@ def test_check_sat_convenience():
 
 
 def test_solver_agrees_with_truth_tables():
+    check_random_formulas()
+
+
+def test_activity_rescaling_keeps_answers(monkeypatch):
+    # rescaling runs once an activity passes RESCALE_AT; at 10 it runs often
+    monkeypatch.setattr(satcore._Cdcl, "RESCALE_AT", 10.0)
+    assert not solve(php_cnf(6, 5)).is_sat
+    check_random_formulas()
+
+
+def check_random_formulas():
     rng = random.Random(321)
     s = BoolStore()
 
