@@ -4,7 +4,8 @@ The library parses a small imperative gate language, tracks each qubit's
 value as a Boolean formula, and decides with a SAT solver whether borrowed
 qubits are restored exactly, independent of their initial state. A
 brute-force simulator over basis permutations, in `qborrow.oracle`, provides
-ground truth at small sizes; it is the only module that needs numpy.
+the tests' ground truth at small sizes; it is the only module that needs
+numpy, and no command imports it.
 
 Typical use:
 

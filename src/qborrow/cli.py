@@ -6,9 +6,9 @@ Subcommands:
   bench   -- generate + verify a size sweep and report solver-only timings
 
 Exit codes: 0 all verified qubits safe, 1 some unsafe, 2 usage/parse/
-elaboration error, 3 undecided within budget, 4 a self-check failed (a
-witness that does not replay, a solver model that fails its check, or an
-oracle disagreement).
+elaboration error or an unwritable output path, 3 undecided within budget,
+4 a self-check failed (a witness that does not replay, a solver model that
+fails its check, or an oracle disagreement).
 Every flag can also be set via an environment variable with the QBORROW_
 prefix (e.g. QBORROW_SOLVER, QBORROW_BUDGET_SECONDS); flags win.  A malformed
 flag or variable value is a usage error.
@@ -27,12 +27,14 @@ from .elaborator import FlatCircuit, elaborate_source
 from .errors import SelfCheckError, SourceError
 from .satcore import DEFAULT_BUDGET_CONFLICTS, DEFAULT_BUDGET_SECONDS, SizeCap
 from .verify import (
+    EXHAUSTIVE_CAP,
     EXIT_DISAGREE,
     EXIT_ERROR,
     EXIT_SAFE,
     EXIT_UNKNOWN,
     EXIT_UNSAFE,
     Report,
+    exact_safe,
     report_exit_code,
     verify_circuit,
 )
@@ -47,10 +49,7 @@ from .verify import witness_violates  # noqa: F401
 def cross_check(circuit: FlatCircuit, report: Report, err=None) -> bool:
     """Compare every decided verdict against exhaustive enumeration.
 
-    Returns False (and explains on err) on any disagreement.  Imports the
-    numpy oracle, so numpy loads only when a cross-check runs."""
-    from .oracle import EXHAUSTIVE_CAP, exhaustive_safe
-
+    Returns False (and explains on err) on any disagreement."""
     err = err if err is not None else sys.stderr
     if circuit.n_qubits > EXHAUSTIVE_CAP:
         print(
@@ -65,11 +64,11 @@ def cross_check(circuit: FlatCircuit, report: Report, err=None) -> bool:
         if v.status in ("skipped", "unknown"):
             continue
         q = by_label[v.qubit]
-        truth = exhaustive_safe(circuit, q)
-        if truth.safe != (v.status == "safe"):
+        safe = not exact_safe(circuit, q)
+        if safe != (v.status == "safe"):
             print(
                 f"oracle disagreement on {v.qubit}: solver says {v.status}, "
-                f"enumeration says {'safe' if truth.safe else 'unsafe'}",
+                f"enumeration says {'safe' if safe else 'unsafe'}",
                 file=err,
             )
             ok = False
@@ -308,11 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "gen":
-        return cmd_gen(args)
-    return cmd_bench(args)
+    command = {"verify": cmd_verify, "gen": cmd_gen, "bench": cmd_bench}[args.command]
+    try:
+        return command(args)
+    except OSError as exc:  # an output file or directory that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ import numpy as np
 
 from .elaborator import FlatCircuit, QubitId
 from .errors import QborrowError
+from .verify import EXHAUSTIVE_CAP
 
-EXHAUSTIVE_CAP = 20
 STATEVECTOR_CAP = 14
 RESTORE_CAP = 13  # one amplitude slot reserved for the traced-out qubit
 BELL_CAP = 12  # one hypothetical partner qubit appended
@@ -233,9 +233,3 @@ def check_bell_preservation(c: FlatCircuit, q: QubitId) -> bool:
     ok = (b0 == 0) & (b1 == 1) & (r0 == r1)
     return bool(ok.all())
 
-
-def bell_projector() -> np.ndarray:
-    """|Phi><Phi| for |Phi> = (|00> + |11>)/sqrt(2), for external comparisons."""
-    phi = np.zeros(4, dtype=np.complex128)
-    phi[0] = phi[3] = _S
-    return np.outer(phi, phi.conj())

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .boolform import BoolExpr, cond_restore_plus, cond_restore_zero, count_nodes, track
-from .elaborator import FlatCircuit, QubitId, apply_classical
+from .elaborator import FlatCircuit, QubitId, simulate
 from .errors import SelfCheckError
 from .satcore import (
     DEFAULT_BUDGET_CONFLICTS,
@@ -37,6 +37,9 @@ EXIT_UNSAFE = 1
 EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
 EXIT_DISAGREE = 4
+
+# most qubits `exact_safe` enumerates: its columns take 2^n bits each
+EXHAUSTIVE_CAP = 20
 
 
 @dataclass
@@ -120,10 +123,11 @@ def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
-def _decide_internal(e: BoolExpr, budget_conflicts: int, budget_seconds: float) -> Decision:
+def _decide_internal(e: BoolExpr, encoded, budget_conflicts: int, budget_seconds: float) -> Decision:
+    """Decide `e`, reusing its Tseitin encoding `(cnf, root)` when given."""
     t0 = time.perf_counter()
     try:
-        cnf, root = tseitin(e)
+        cnf, root = encoded or tseitin(e)
         res = solve(
             cnf,
             root,
@@ -178,6 +182,23 @@ def _decide_external(
 # the driver
 
 
+def _violations(c: FlatCircuit, q: QubitId, columns, m: int) -> tuple[int, int]:
+    """Run the circuit once on the m input patterns of `columns` (q's own
+    column is ignored), with q at 0 in patterns 0..m-1 and at 1 in patterns
+    m..2m-1.  Returns the masks of those 2m inputs that violate cond1 (q's
+    output bit differs from its input bit) and cond2 (some other output bit
+    changes with q)."""
+    ones = (1 << m) - 1
+    cols = [col | col << m for col in columns]
+    cols[q.gid] = ones << m
+    out = simulate(c, cols, ones | ones << m)
+    leak = 0
+    for i, col in enumerate(out):
+        if i != q.gid:
+            leak |= (col ^ col >> m) & ones
+    return out[q.gid] ^ ones << m, leak | leak << m
+
+
 def witness_violates(c: FlatCircuit, q: QubitId, witness: dict[str, bool], which: str) -> bool:
     """Replay a SAT witness through the classical semantics.
 
@@ -187,16 +208,25 @@ def witness_violates(c: FlatCircuit, q: QubitId, witness: dict[str, bool], which
     bits = [0] * c.n_qubits
     for label, val in witness.items():
         bits[by_label[label].gid] = 1 if val else 0
-    if which == "cond1":
-        out = apply_classical(c, tuple(bits))
-        return out[q.gid] != bits[q.gid]
-    x0 = list(bits)
-    x0[q.gid] = 0
-    x1 = list(bits)
-    x1[q.gid] = 1
-    y0 = apply_classical(c, tuple(x0))
-    y1 = apply_classical(c, tuple(x1))
-    return any(y0[i] != y1[i] for i in range(c.n_qubits) if i != q.gid)
+    cond1, cond2 = _violations(c, q, bits, 1)
+    return bool((cond1 if which == "cond1" else cond2) >> bits[q.gid] & 1)
+
+
+def exact_safe(c: FlatCircuit, q: QubitId) -> int:
+    """Decide q on every input at once; returns the mask of violating inputs,
+    0 exactly when q is safe.  Bit v * 2^(n-1) + e stands for the input with
+    q = v and the other qubits, in gid order, spelling e in binary from its
+    highest bit down."""
+    n = c.n_qubits
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"{n} qubits exceed the exhaustive cap of {EXHAUSTIVE_CAP}")
+    columns, m = [0] * n, 1
+    for gid in reversed([i for i in range(n) if i != q.gid]):  # the last is bit 0 of e
+        columns = [col | col << m for col in columns]  # a second copy of every pattern
+        columns[gid] = ((1 << m) - 1) << m  # 0 in the first copy, 1 in the second
+        m *= 2
+    cond1, cond2 = _violations(c, q, columns, m)
+    return cond1 | cond2
 
 
 def _verdict(circuit: FlatCircuit, q: QubitId, state, write, decide) -> Verdict:
@@ -211,7 +241,7 @@ def _verdict(circuit: FlatCircuit, q: QubitId, state, write, decide) -> Verdict:
                 write(build(q, state), q, name)
             break
         e = build(q, state)
-        d = decide(e, write(e, q, name) if write is not None else None)
+        d = decide(e, write(e, q, name) if write is not None else (None, None))
         v.solve_ms += d.ms
         v.formula_nodes += count_nodes(e)
         v.cnf_vars += d.cnf_vars
@@ -251,20 +281,23 @@ def verify_circuit(
         if d is not None:
             Path(d).mkdir(parents=True, exist_ok=True)
 
-    def write(e: BoolExpr, q: QubitId, name: str) -> Path | None:
-        """Write one condition's files; returns the SMT-LIB2 script path."""
+    def write(e: BoolExpr, q: QubitId, name: str) -> tuple:
+        """Write one condition's files; returns the Tseitin encoding made for
+        the `.cnf` file and the SMT-LIB2 script path, each None if unwritten."""
         base = f"{stem}.{q.label}.{name}"
+        encoded = path = None
         if emit_dimacs_dir is not None:
-            (Path(emit_dimacs_dir) / f"{base}.cnf").write_text(emit_dimacs(*tseitin(e)))
-        if emit_smtlib_dir is None:
-            return None
-        path = Path(emit_smtlib_dir) / f"{base}.smt2"
-        path.write_text(emit_smtlib(e))
-        return path
+            encoded = tseitin(e)
+            (Path(emit_dimacs_dir) / f"{base}.cnf").write_text(emit_dimacs(*encoded))
+        if emit_smtlib_dir is not None:
+            path = Path(emit_smtlib_dir) / f"{base}.smt2"
+            path.write_text(emit_smtlib(e))
+        return encoded, path
 
-    def decide(e: BoolExpr, script: Path | None) -> Decision:
+    def decide(e: BoolExpr, written: tuple) -> Decision:
+        encoded, script = written
         if external is None:
-            return _decide_internal(e, budget_conflicts, budget_seconds)
+            return _decide_internal(e, encoded, budget_conflicts, budget_seconds)
         return _decide_external(e, external, budget_seconds, script)
 
     emitting = emit_dimacs_dir is not None or emit_smtlib_dir is not None

@@ -403,6 +403,12 @@ def run_cli(args, env_extra=(), cwd=None):
         (["gen", "adder", "-o", "out.qbr"], {"QBORROW_SIZE": "abc"}),
         (["gen", "adder", "--size", "100000000", "-o", "out.qbr"], {}),
         (["verify", "prog.qbr"], {"QBORROW_ORACLE": "ture"}),
+        # an output path that cannot be written: exit 1 would misreport a safe program
+        (["verify", "prog.qbr", "--report", "missing/r.json"], {}),
+        (["verify", "prog.qbr", "--emit-dimacs", "prog.qbr"], {}),
+        (["verify", "prog.qbr", "--emit-smtlib", "prog.qbr/x"], {}),
+        (["gen", "adder", "--size", "4", "-o", "missing/x.qbr"], {}),
+        (["bench", "adder", "--sizes", "4", "--report", "missing/r.json"], {}),
     ],
 )
 def test_malformed_input_exits_2(args, env, tmp_path):
@@ -466,14 +472,32 @@ def test_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
-def test_import_leaves_numpy_unloaded():
-    # numpy is for the oracle alone; `verify --oracle` loads it on demand
+def test_import_leaves_numpy_unloaded(qbr):
+    # numpy is for the tests' reference oracle alone; `verify --oracle` runs without it
     src = str(Path(qborrow.__file__).resolve().parent.parent)
-    code = "import sys, qborrow, qborrow.cli; print('numpy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QBORROW_")}
+    env["PYTHONPATH"] = src
+    safe, leaky = qbr("safe.qbr", SAFE_CCCNOT_SRC), qbr("leaky.qbr", LEAKY_CCCNOT_SRC)
+    code = (
+        "import sys, qborrow, qborrow.cli; qborrow.cli.main(sys.argv[1:]); "
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", safe, "--oracle"],
+        capture_output=True, text=True, env=env,
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "False"
+    blocked = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from qborrow.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    for path, expected in ((safe, EXIT_SAFE), (leaky, EXIT_UNSAFE)):
+        proc = subprocess.run(
+            [sys.executable, "-c", blocked, "verify", path, "--oracle"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == expected, proc.stderr
 
 
 def test_console_script_installed():

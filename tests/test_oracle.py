@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qborrow import elaborate_source
+from qborrow.benchgen import adder_source, mcx_source
 from qborrow.elaborator import QubitId, apply_classical
 from qborrow.oracle import (
     BELL_CAP,
@@ -17,7 +18,6 @@ from qborrow.oracle import (
     STATE_ZERO,
     OracleVerdict,
     TooManyQubits,
-    bell_projector,
     check_bell_preservation,
     check_state_restoration,
     exhaustive_safe,
@@ -27,8 +27,16 @@ from qborrow.oracle import (
     simulate_statevector,
     unpack_basis,
 )
+from qborrow.verify import exact_safe
 
-from conftest import random_program
+from conftest import mutant_sources, random_program
+
+
+def bell_projector() -> np.ndarray:
+    """|Phi><Phi| for |Phi> = (|00> + |11>)/sqrt(2)."""
+    phi = np.zeros(4, dtype=np.complex128)
+    phi[0] = phi[3] = 1 / np.sqrt(2)
+    return np.outer(phi, phi.conj())
 
 
 # --------------------------------------------------------------------------
@@ -132,7 +140,41 @@ def test_exhaustive_cap():
     c = elaborate_source(src)
     with pytest.raises(TooManyQubits):
         exhaustive_safe(c, c.qubit("q", 1))
+    with pytest.raises(ValueError):
+        exact_safe(c, c.qubit("q", 1))
     assert EXHAUSTIVE_CAP == 20
+
+
+def lowest_violating(c, q, mask):
+    """The lex-smallest input in exact_safe's mask: bit v * 2^(n-1) + e has
+    q = v and the other qubits spelling e."""
+    m = 1 << (c.n_qubits - 1)
+    inputs = []
+    for v, bits in ((0, mask & ((1 << m) - 1)), (1, mask >> m)):
+        if bits:  # with q fixed, the lowest e is the lex-smallest input
+            env = list(unpack_basis((bits & -bits).bit_length() - 1, c.n_qubits - 1))
+            inputs.append(tuple(env[: q.gid] + [v] + env[q.gid :]))
+    return min(inputs)
+
+
+def assert_exact_matches_oracle(c, qubits):
+    for q in qubits:
+        truth, mask = exhaustive_safe(c, q), exact_safe(c, q)
+        assert truth.safe == (mask == 0), q
+        if mask:
+            assert lowest_violating(c, q, mask) == truth.witness, q
+
+
+def test_exact_check_matches_oracle_on_corpus(corpus):
+    for c in corpus:
+        assert_exact_matches_oracle(c, c.qubits)
+
+
+@pytest.mark.parametrize("source", [adder_source(8), mcx_source(6)], ids=["adder8", "mcx6"])
+def test_exact_check_matches_oracle_on_mutants(source):
+    for mutant in mutant_sources(source):
+        c = elaborate_source(mutant)
+        assert_exact_matches_oracle(c, c.verify_qubits())
 
 
 # --------------------------------------------------------------------------

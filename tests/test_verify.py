@@ -65,6 +65,19 @@ def test_cond2_is_built_only_when_decided_or_written(monkeypatch, tmp_path, emit
         assert sorted(p.name for p in d.iterdir()) == ["flip.a.cond1.smt2", "flip.a.cond2.smt2"]
 
 
+@pytest.mark.parametrize("emit, calls", [(False, 17), (True, 18)])
+def test_each_condition_is_encoded_once(monkeypatch, tmp_path, emit, calls):
+    # adder n=10 without gate 1: 17 decided conditions, and one cond2 that
+    # is only written; the .cnf writer and the solver share one encoding
+    original, encoded = verify.tseitin, []
+    monkeypatch.setattr(verify, "tseitin", lambda e: encoded.append(e) or original(e))
+    path = tmp_path / "mutant.qbr"
+    path.write_text(mutant_sources(adder_source(10))[1])
+    args = ["verify", str(path)] + (["--emit-dimacs", str(tmp_path / "d")] if emit else [])
+    assert main(args) == EXIT_UNSAFE
+    assert len(encoded) == calls
+
+
 def test_external_solver_reads_the_emitted_scripts(monkeypatch, tmp_path):
     scripts = tmp_path / "tmp"
     scripts.mkdir()
