@@ -4,6 +4,8 @@ Both emit a fixed program text with only the size constant substituted, so
 generated files are stable inputs for benchmarking and regression diffs.
 """
 
+from .errors import UsageError
+
 # Carry-ripple incrementer on q[1..n] using the dirty helpers a[1..n-1];
 # the second half mirrors the first to uncompute them.
 _ADDER = """\
@@ -162,14 +164,14 @@ release q;
 def adder_source(n: int) -> str:
     # n = 2 would index a[0] and a[2] in a register of size 1
     if n < 3:
-        raise ValueError(f"size out of range: adder needs n >= 3, got {n}")
+        raise UsageError(f"size out of range: adder needs n >= 3, got {n}")
     return _ADDER.format(n=n)
 
 
 def mcx_source(m: int) -> str:
     # m < 4 degenerates the ladder loops into overlapping special cases
     if m < 4:
-        raise ValueError(f"size out of range: mcx needs m >= 4, got {m}")
+        raise UsageError(f"size out of range: mcx needs m >= 4, got {m}")
     return _MCX.format(m=m)
 
 
@@ -178,7 +180,7 @@ def generate(kind: str, size: int) -> str:
         return adder_source(size)
     if kind == "mcx":
         return mcx_source(size)
-    raise ValueError(f"unknown benchmark kind: {kind!r}")
+    raise UsageError(f"unknown benchmark kind: {kind!r}")
 
 
 def adder_gate_count(n: int) -> int:

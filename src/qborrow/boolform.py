@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .elaborator import FlatCircuit, McxGate, QubitId, QubitRole
-from .errors import QborrowError
+from .errors import ResourceLimit
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -42,16 +42,15 @@ _SALT = {
 # less aggressively)
 _ELIM_MAX_CHILDREN = 128
 
+# most nodes one store interns before it raises ResourceLimit("size")
+MAX_NODES = 10_000_000
+
 
 def _fnv(s: str) -> int:
     h = _FNV_OFFSET
     for ch in s:
         h = ((h ^ ord(ch)) * _FNV_PRIME) & _MASK
     return h
-
-
-class FormulaSizeError(QborrowError):
-    pass
 
 
 class BoolExpr:
@@ -76,8 +75,7 @@ class BoolExpr:
 class BoolStore:
     """Append-only intern table; all constructors return canonical nodes."""
 
-    def __init__(self, max_nodes: int = 10_000_000):
-        self.max_nodes = max_nodes
+    def __init__(self):
         self._table: dict = {}
         self._n_nodes = 0
         self.false = self._intern("false", (), None)
@@ -88,10 +86,8 @@ class BoolStore:
         node = self._table.get(key)
         if node is not None:
             return node
-        if self._n_nodes >= self.max_nodes:
-            raise FormulaSizeError(
-                f"formula store exceeded the {self.max_nodes}-node cap"
-            )
+        if self._n_nodes >= MAX_NODES:
+            raise ResourceLimit("size", f"formula store exceeded the {MAX_NODES}-node cap")
         if op == "var":
             shash = (_SALT["var"] ^ _fnv(qubit.label)) & _MASK
         else:
@@ -344,9 +340,6 @@ class FormulaState:
     def __iter__(self):
         return iter(self.formulas)
 
-    def items(self):
-        return self.formulas.items()
-
 
 def init_state(c: FlatCircuit) -> FormulaState:
     """b_q = q for dirty qubits, b_q = false for clean (alloc'd) qubits."""
@@ -415,18 +408,16 @@ _SWEEP_MASK = (1 << _SWEEP_BITS) - 1
 
 def _simulate(order: list[BoolExpr]) -> dict[BoolExpr, int]:
     """Bit-parallel values of every node on fixed-seed random patterns; the
-    variables draw their patterns in gid order."""
+    variables draw their patterns in gid order.  `order` holds no constant:
+    `_sweep` returns a constant root as it is, and canonical nodes have none
+    below their root."""
     rng = random.Random(_SWEEP_SEED)
     sig: dict[BoolExpr, int] = {}
     for v in sorted((n for n in order if n.op == "var"), key=lambda n: n.qubit.gid):
         sig[v] = rng.getrandbits(_SWEEP_BITS)
     for node in order:
         op = node.op
-        if op == "false":
-            sig[node] = 0
-        elif op == "true":
-            sig[node] = _SWEEP_MASK
-        elif op == "not":
+        if op == "not":
             sig[node] = sig[node.args[0]] ^ _SWEEP_MASK
         elif op == "and":
             value = _SWEEP_MASK

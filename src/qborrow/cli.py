@@ -6,9 +6,10 @@ Subcommands:
   bench   -- generate + verify a size sweep and report solver-only timings
 
 Exit codes: 0 all verified qubits safe, 1 some unsafe, 2 usage/parse/
-elaboration error or an unwritable output path, 3 undecided within budget,
-4 a self-check failed (a witness that does not replay, a solver model that
-fails its check, or an oracle disagreement).
+elaboration error, a budget not finite or below 0, or an unwritable output
+path, 3 undecided (a budget or size cap ran out, or the solver gave no
+verdict), 4 a self-check failed (a witness that does not replay, a solver
+model that fails its check, or an oracle disagreement).
 Every flag can also be set via an environment variable with the QBORROW_
 prefix (e.g. QBORROW_SOLVER, QBORROW_BUDGET_SECONDS); flags win.  A malformed
 flag or variable value is a usage error.
@@ -22,10 +23,9 @@ from pathlib import Path
 
 from . import __version__
 from .benchgen import generate
-from .boolform import FormulaSizeError
 from .elaborator import FlatCircuit, elaborate_source
-from .errors import SelfCheckError, SourceError
-from .satcore import DEFAULT_BUDGET_CONFLICTS, DEFAULT_BUDGET_SECONDS, SizeCap
+from .errors import QborrowError, ResourceLimit, SelfCheckError, SourceError
+from .satcore import DEFAULT_BUDGET_CONFLICTS, DEFAULT_BUDGET_SECONDS
 from .verify import (
     EXHAUSTIVE_CAP,
     EXIT_DISAGREE,
@@ -46,16 +46,15 @@ from .satcore import solve  # noqa: F401
 from .verify import witness_violates  # noqa: F401
 
 
-def cross_check(circuit: FlatCircuit, report: Report, err=None) -> bool:
+def cross_check(circuit: FlatCircuit, report: Report) -> bool:
     """Compare every decided verdict against exhaustive enumeration.
 
-    Returns False (and explains on err) on any disagreement."""
-    err = err if err is not None else sys.stderr
+    Returns False (and explains on stderr) on any disagreement."""
     if circuit.n_qubits > EXHAUSTIVE_CAP:
         print(
             f"warning: oracle cross-check skipped ({circuit.n_qubits} qubits "
             f"exceed the cap of {EXHAUSTIVE_CAP})",
-            file=err,
+            file=sys.stderr,
         )
         return True
     by_label = {q.label: q for q in circuit.qubits}
@@ -69,7 +68,7 @@ def cross_check(circuit: FlatCircuit, report: Report, err=None) -> bool:
             print(
                 f"oracle disagreement on {v.qubit}: solver says {v.status}, "
                 f"enumeration says {'safe' if safe else 'unsafe'}",
-                file=err,
+                file=sys.stderr,
             )
             ok = False
     return ok
@@ -79,7 +78,7 @@ def cross_check(circuit: FlatCircuit, report: Report, err=None) -> bool:
 # subcommand implementations
 
 
-def _print_verify(report: Report, out):
+def _print_verify(report: Report):
     lines = []
     for v in report.verdicts:
         if v.status == "safe":
@@ -103,100 +102,63 @@ def _print_verify(report: Report, out):
         f"{counts['skipped']} skipped, {counts['unknown']} unknown "
         f"in {report.total_ms:.1f} ms"
     )
-    out.write("\n".join(lines) + "\n")
+    print("\n".join(lines))
 
 
-def cmd_verify(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    try:
-        with open(args.file, "rb") as f:
-            text = f.read().decode("utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_ERROR
+def cmd_verify(args) -> int:
+    with open(args.file, "rb") as f:
+        data = f.read()
+    try:  # both messages name the file
+        circuit = elaborate_source(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=err)
-        return EXIT_ERROR
-    try:
-        circuit = elaborate_source(text)
+        raise QborrowError(f"{args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     except SourceError as exc:
-        print(f"error: {args.file}:{exc}", file=err)
-        return EXIT_ERROR
+        raise QborrowError(f"{args.file}:{exc}")
     for w in circuit.warnings:
-        print(f"warning: {w}", file=err)
-    try:
-        report = verify_circuit(
-            circuit,
-            program=str(args.file),
-            solver=args.solver,
-            emit_dimacs_dir=args.emit_dimacs,
-            emit_smtlib_dir=args.emit_smtlib,
-            budget_conflicts=args.budget_conflicts,
-            budget_seconds=args.budget_seconds,
-        )
-    except (FormulaSizeError, SizeCap) as exc:
-        print(f"error: formula too large: {exc}", file=err)
-        return EXIT_UNKNOWN
-    except SelfCheckError as exc:
-        print(f"error: self-check failed: {exc}", file=err)
-        return EXIT_DISAGREE
-    except ValueError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_ERROR
-    _print_verify(report, out)
+        print(f"warning: {w}", file=sys.stderr)
+    report = verify_circuit(
+        circuit,
+        program=str(args.file),
+        solver=args.solver,
+        emit_dimacs_dir=args.emit_dimacs,
+        emit_smtlib_dir=args.emit_smtlib,
+        budget_conflicts=args.budget_conflicts,
+        budget_seconds=args.budget_seconds,
+    )
+    _print_verify(report)
     if args.report:
         Path(args.report).write_text(report.to_json())
-    if args.oracle and not cross_check(circuit, report, err=err):
+    if args.oracle and not cross_check(circuit, report):
         return EXIT_DISAGREE
     return report_exit_code(report)
 
 
-def cmd_gen(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    try:
-        source = generate(args.kind, args.size)
-        circuit = elaborate_source(source)  # fails only above the elaboration caps
-    except (ValueError, SourceError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_ERROR
+def cmd_gen(args) -> int:
+    source = generate(args.kind, args.size)
+    circuit = elaborate_source(source)  # fails only above the elaboration caps
     Path(args.out).write_text(source)
     print(
         f"wrote {args.out}: {args.kind} size {args.size}, "
-        f"{circuit.n_qubits} qubits, {len(circuit.gates)} gates",
-        file=out,
+        f"{circuit.n_qubits} qubits, {len(circuit.gates)} gates"
     )
     return EXIT_SAFE
 
 
-def cmd_bench(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_bench(args) -> int:
     rows = []
     worst = EXIT_SAFE
     header = f"{'kind':<6} {'size':>6} {'qubits':>7} {'gates':>7} {'verdict':<10} {'solver_ms':>10}"
-    print(header, file=out)
-    print("-" * len(header), file=out)
+    print(header)
+    print("-" * len(header))
     for size in args.sizes:
-        try:
-            circuit = elaborate_source(generate(args.kind, size))
-            report = verify_circuit(
-                circuit,
-                program=f"{args.kind}[{size}]",
-                solver=args.solver,
-                budget_conflicts=args.budget_conflicts,
-                budget_seconds=args.budget_seconds,
-            )
-        except FormulaSizeError as exc:
-            print(f"error: formula too large: {exc}", file=err)
-            return EXIT_UNKNOWN
-        except SelfCheckError as exc:
-            print(f"error: self-check failed: {exc}", file=err)
-            return EXIT_DISAGREE
-        except (ValueError, SourceError) as exc:
-            print(f"error: {exc}", file=err)
-            return EXIT_ERROR
+        circuit = elaborate_source(generate(args.kind, size))
+        report = verify_circuit(
+            circuit,
+            program=f"{args.kind}[{size}]",
+            solver=args.solver,
+            budget_conflicts=args.budget_conflicts,
+            budget_seconds=args.budget_seconds,
+        )
         solver_ms = sum(v.solve_ms for v in report.verdicts)
         code = report_exit_code(report)
         verdict = {EXIT_SAFE: "all-safe", EXIT_UNSAFE: "unsafe", EXIT_UNKNOWN: "unknown"}[code]
@@ -213,8 +175,7 @@ def cmd_bench(args, out=None, err=None) -> int:
         )
         print(
             f"{args.kind:<6} {size:>6} {report.n_qubits:>7} {report.n_gates:>7} "
-            f"{verdict:<10} {solver_ms:>10.1f}",
-            file=out,
+            f"{verdict:<10} {solver_ms:>10.1f}"
         )
     if args.report:
         doc = {"version": __version__, "solver": args.solver, "rows": rows}
@@ -305,14 +266,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each failure's message prefix and exit code; the first matching type wins.
+# Only size caps raise ResourceLimit this far: budgets become Unknown verdicts.
+_FAILURES = (
+    (SelfCheckError, "self-check failed: ", EXIT_DISAGREE),
+    (ResourceLimit, "formula too large: ", EXIT_UNKNOWN),
+    ((QborrowError, OSError), "", EXIT_ERROR),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = {"verify": cmd_verify, "gen": cmd_gen, "bench": cmd_bench}[args.command]
     try:
         return command(args)
-    except OSError as exc:  # an output file or directory that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except (QborrowError, OSError) as exc:
+        prefix, code = next((p, c) for t, p, c in _FAILURES if isinstance(exc, t))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

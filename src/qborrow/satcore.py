@@ -12,21 +12,11 @@ from dataclasses import dataclass, field
 
 from .boolform import BoolExpr, _postorder, evaluate, variables
 from .elaborator import QubitId
-from .errors import QborrowError, SelfCheckError
+from .errors import ResourceLimit, SelfCheckError
 
 DEFAULT_BUDGET_CONFLICTS = 100_000_000
 DEFAULT_BUDGET_SECONDS = 600.0
 DEFAULT_MAX_CLAUSES = 10_000_000
-
-
-class SizeCap(QborrowError):
-    pass
-
-
-class ResourceLimit(QborrowError):
-    def __init__(self, reason: str, detail: str):
-        self.reason = reason  # 'conflicts' or 'time'
-        super().__init__(detail)
 
 
 @dataclass
@@ -76,7 +66,7 @@ def tseitin(e: BoolExpr) -> tuple[Cnf, int | None]:
 
     def emit(clause: list[int]) -> None:
         if len(clauses) >= DEFAULT_MAX_CLAUSES:
-            raise SizeCap(f"CNF exceeded the {DEFAULT_MAX_CLAUSES}-clause cap")
+            raise ResourceLimit("size", f"CNF exceeded the {DEFAULT_MAX_CLAUSES}-clause cap")
         clauses.append(clause)
 
     lit: dict[BoolExpr, int] = {}

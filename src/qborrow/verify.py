@@ -8,6 +8,7 @@ Safe; a budget that runs out means Unknown.
 """
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -19,12 +20,10 @@ from pathlib import Path
 from . import __version__
 from .boolform import BoolExpr, cond_restore_plus, cond_restore_zero, count_nodes, track
 from .elaborator import FlatCircuit, QubitId, simulate
-from .errors import SelfCheckError
+from .errors import ResourceLimit, SelfCheckError, UsageError
 from .satcore import (
     DEFAULT_BUDGET_CONFLICTS,
     DEFAULT_BUDGET_SECONDS,
-    ResourceLimit,
-    SizeCap,
     emit_dimacs,
     emit_smtlib,
     solve,
@@ -108,11 +107,10 @@ def report_exit_code(report: Report) -> int:
 
 @dataclass
 class Decision:
-    """The outcome of one condition: sat, unsat, or unknown with the budget
-    that ran out (time, conflicts, size, exec or output)."""
+    """The outcome of one condition: sat, unsat, or unknown with the reason
+    of the ResourceLimit that ended it."""
 
     status: str  # sat | unsat | unknown
-    ms: float
     witness: dict[str, bool] | None = None  # internal sat answers only
     budget: str | None = None
     cnf_vars: int = 0
@@ -125,41 +123,29 @@ def _ms_since(t0: float) -> float:
 
 def _decide_internal(e: BoolExpr, encoded, budget_conflicts: int, budget_seconds: float) -> Decision:
     """Decide `e`, reusing its Tseitin encoding `(cnf, root)` when given."""
-    t0 = time.perf_counter()
-    try:
-        cnf, root = encoded or tseitin(e)
-        res = solve(
-            cnf,
-            root,
-            budget_conflicts=budget_conflicts,
-            budget_seconds=budget_seconds,
-        )
-    except ResourceLimit as exc:
-        return Decision("unknown", _ms_since(t0), budget=exc.reason)
-    except SizeCap:
-        return Decision("unknown", _ms_since(t0), budget="size")
+    cnf, root = encoded or tseitin(e)
+    res = solve(cnf, root, budget_conflicts=budget_conflicts, budget_seconds=budget_seconds)
     witness = {q.label: v for q, v in res.model.items()} if res.is_sat else None
-    return Decision(
-        res.status, _ms_since(t0), witness, cnf_vars=cnf.n_vars, cnf_clauses=len(cnf.clauses)
-    )
+    return Decision(res.status, witness, cnf_vars=cnf.n_vars, cnf_clauses=len(cnf.clauses))
 
 
 def _run_solver(argv: list[str], budget_seconds: float) -> Decision:
     """Run an external solver; it must print a line that is exactly `sat`
     or `unsat`."""
-    t0 = time.perf_counter()
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=budget_seconds)
+        # a byte that is not UTF-8 decodes to U+FFFD, so its line is no verdict
+        proc = subprocess.run(
+            argv, capture_output=True, text=True, errors="replace", timeout=budget_seconds
+        )
     except subprocess.TimeoutExpired:
-        return Decision("unknown", _ms_since(t0), budget="time")
-    except OSError:
-        return Decision("unknown", _ms_since(t0), budget="exec")
-    ms = _ms_since(t0)
+        raise ResourceLimit("time", f"solver ran past {budget_seconds}s")
+    except OSError as exc:
+        raise ResourceLimit("exec", f"solver did not start: {exc}")
     # match whole lines: "unsat" contains "sat" as a substring
     for line in proc.stdout.splitlines():
         if line.strip() in ("sat", "unsat"):
-            return Decision(line.strip(), ms)
-    return Decision("unknown", ms, budget="output")
+            return Decision(line.strip())
+    raise ResourceLimit("output", "solver printed no line that is exactly sat or unsat")
 
 
 def _decide_external(
@@ -241,8 +227,14 @@ def _verdict(circuit: FlatCircuit, q: QubitId, state, write, decide) -> Verdict:
                 write(build(q, state), q, name)
             break
         e = build(q, state)
-        d = decide(e, write(e, q, name) if write is not None else (None, None))
-        v.solve_ms += d.ms
+        written = write(e, q, name) if write is not None else (None, None)
+        t0 = time.perf_counter()
+        # Unknown only when deciding; a size cap met building or writing ends the run
+        try:
+            d = decide(e, written)
+        except ResourceLimit as exc:
+            d = Decision("unknown", budget=exc.reason)
+        v.solve_ms += _ms_since(t0)
         v.formula_nodes += count_nodes(e)
         v.cnf_vars += d.cnf_vars
         v.cnf_clauses += d.cnf_clauses
@@ -269,11 +261,18 @@ def verify_circuit(
     t_start = time.perf_counter()
     external = None
     if solver.startswith("cmd:"):
-        external = shlex.split(solver[4:])
+        try:
+            external = shlex.split(solver[4:])
+        except ValueError as exc:  # an unbalanced quote
+            raise UsageError(str(exc))
         if not external:
-            raise ValueError("empty external solver command")
+            raise UsageError("empty external solver command")
     elif solver != "internal":
-        raise ValueError(f"unknown solver {solver!r} (expected internal or cmd:<exe>)")
+        raise UsageError(f"unknown solver {solver!r} (expected internal or cmd:<exe>)")
+    if not 0 <= budget_seconds < math.inf:  # also false for nan
+        raise UsageError(f"time budget must be finite and >= 0 seconds, got {budget_seconds}")
+    if budget_conflicts < 0:
+        raise UsageError(f"conflict budget must be >= 0, got {budget_conflicts}")
 
     state = track(circuit)
     stem = Path(program).stem if program != "<memory>" else "circuit"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qborrow import (
     BoolStore,
     apply_gate,
+    boolform,
     cond_restore_plus,
     cond_restore_zero,
     count_nodes,
@@ -17,8 +18,8 @@ from qborrow import (
     track,
     variables,
 )
-from qborrow.boolform import FormulaSizeError
 from qborrow.elaborator import QubitId
+from qborrow.errors import ResourceLimit
 
 V = [QubitId("v", i + 1, i, f"v{i+1}") for i in range(8)]
 
@@ -123,11 +124,13 @@ def test_structural_sharing_across_formulas():
     assert any(arg is e1 for arg in e2.args)
 
 
-def test_node_cap():
-    s = BoolStore(max_nodes=8)
-    with pytest.raises(FormulaSizeError):
+def test_node_cap(monkeypatch):
+    monkeypatch.setattr(boolform, "MAX_NODES", 8)
+    s = BoolStore()
+    with pytest.raises(ResourceLimit) as exc:
         for i in range(8):
             s.var(V[i])
+    assert exc.value.reason == "size"
 
 
 def test_count_nodes_is_dag_size():

@@ -181,6 +181,16 @@ def test_external_solver_garbage_is_unknown(qbr, tmp_path, capsys):
     assert "Unknown" in capsys.readouterr().out
 
 
+def test_external_solver_output_not_utf8_is_unknown(qbr, tmp_path, capsys):
+    exe = fake_solver(tmp_path, r"printf '\377\n'")
+    path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
+    assert main(["verify", path, "--solver", f"cmd:{exe}"]) == EXIT_UNKNOWN
+    assert "a: Unknown (budget: output)" in capsys.readouterr().out
+    assert main(["bench", "mcx", "--sizes", "4", "--solver", f"cmd:{exe}"]) == EXIT_UNKNOWN
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].split()[:5] == ["mcx", "4", "9", "32", "unknown"]
+
+
 def test_external_solver_missing_binary(qbr):
     path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
     assert main(["verify", path, "--solver", "cmd:/nonexistent/solver"]) == EXIT_UNKNOWN
@@ -409,6 +419,12 @@ def run_cli(args, env_extra=(), cwd=None):
         (["verify", "prog.qbr", "--emit-smtlib", "prog.qbr/x"], {}),
         (["gen", "adder", "--size", "4", "-o", "missing/x.qbr"], {}),
         (["bench", "adder", "--sizes", "4", "--report", "missing/r.json"], {}),
+        # a budget that is not finite or is negative
+        (["verify", "prog.qbr", "--budget-seconds", "inf", "--solver", "cmd:true"], {}),
+        (["verify", "prog.qbr", "--budget-seconds", "nan"], {}),
+        (["verify", "prog.qbr", "--budget-seconds", "-1"], {}),
+        (["verify", "prog.qbr"], {"QBORROW_BUDGET_SECONDS": "inf"}),
+        (["verify", "prog.qbr", "--budget-conflicts", "-1"], {}),
     ],
 )
 def test_malformed_input_exits_2(args, env, tmp_path):
@@ -416,7 +432,7 @@ def test_malformed_input_exits_2(args, env, tmp_path):
     proc = run_cli(args, env, cwd=tmp_path)
     assert proc.returncode == EXIT_ERROR, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
+    assert proc.stderr.count("error:") == 1, proc.stderr
 
 
 @pytest.mark.parametrize(

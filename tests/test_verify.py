@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qborrow
-from qborrow import elaborate_source, satcore, verify
+from qborrow import boolform, elaborate_source, satcore, verify
 from qborrow.benchgen import adder_source
 from qborrow.boolform import BoolExpr, BoolStore
 from qborrow.cli import main
@@ -49,6 +49,16 @@ def test_clause_cap_while_emitting_exits_3(monkeypatch, tmp_path, capsys):
     assert main(["verify", str(path), "--emit-dimacs", str(tmp_path / "d")]) == EXIT_UNKNOWN
     err = capsys.readouterr().err
     assert "error: formula too large: CNF exceeded the 1-clause cap" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "prog.qbr"], ["bench", "mcx", "--sizes", "4"]])
+def test_store_cap_exits_3(command, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(boolform, "MAX_NODES", 10)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prog.qbr").write_text(SAFE_CCCNOT_SRC)
+    assert main(command) == EXIT_UNKNOWN
+    err = capsys.readouterr().err
+    assert err == "error: formula too large: formula store exceeded the 10-node cap\n"
 
 
 @pytest.mark.parametrize("emit, calls", [(False, 0), (True, 1)])
