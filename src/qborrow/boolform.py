@@ -279,30 +279,47 @@ def _postorder(roots: Iterable[BoolExpr]) -> list[BoolExpr]:
     return order
 
 
+def _simulate(
+    order: list[BoolExpr], inputs: Mapping[QubitId, int], ones: int
+) -> dict[BoolExpr, int]:
+    """Bit-parallel values of every node of `order` (children first): each
+    variable takes its column from `inputs`, and `ones` has one bit set per
+    pattern in use, which every column lies within."""
+    sig: dict[BoolExpr, int] = {}
+    for node in order:
+        op = node.op
+        if op == "and":
+            value = ones
+            for c in node.args:
+                value &= sig[c]
+            sig[node] = value
+        elif op == "xor":
+            value = 0
+            for c in node.args:
+                value ^= sig[c]
+            sig[node] = value
+        elif op == "not":
+            sig[node] = sig[node.args[0]] ^ ones
+        elif op == "var":
+            sig[node] = inputs[node.qubit]
+        else:
+            sig[node] = ones if op == "true" else 0
+    return sig
+
+
 def evaluate(e: BoolExpr, env: Mapping[QubitId, bool]) -> bool:
     """Evaluate under an assignment of every variable occurring in `e`."""
-    value: dict[BoolExpr, bool] = {}
-    for node in _postorder([e]):
-        op = node.op
-        if op == "var":
-            value[node] = bool(env[node.qubit])
-        elif op == "not":
-            value[node] = not value[node.args[0]]
-        elif op == "and":
-            value[node] = all(value[c] for c in node.args)
-        elif op == "xor":
-            result = False
-            for c in node.args:
-                result ^= value[c]
-            value[node] = result
-        else:
-            value[node] = op == "true"
-    return value[e]
+    return bool(_simulate(_postorder([e]), env, 1)[e])
+
+
+def _inputs(nodes: Iterable[BoolExpr]) -> list[BoolExpr]:
+    """The variable nodes among `nodes`, sorted by global id."""
+    return sorted((n for n in nodes if n.op == "var"), key=lambda n: n.qubit.gid)
 
 
 def variables(e: BoolExpr) -> list[QubitId]:
     """Input variables of `e`, sorted by global id."""
-    return sorted((n.qubit for n in _reachable(e) if n.op == "var"), key=lambda q: q.gid)
+    return [n.qubit for n in _inputs(_reachable(e))]
 
 
 def count_nodes(e: BoolExpr) -> int:
@@ -406,32 +423,6 @@ _SWEEP_BITS = 256  # patterns simulated at once, one per bit of a Python int
 _SWEEP_MASK = (1 << _SWEEP_BITS) - 1
 
 
-def _simulate(order: list[BoolExpr]) -> dict[BoolExpr, int]:
-    """Bit-parallel values of every node on fixed-seed random patterns; the
-    variables draw their patterns in gid order.  `order` holds no constant:
-    `_sweep` returns a constant root as it is, and canonical nodes have none
-    below their root."""
-    rng = random.Random(_SWEEP_SEED)
-    sig: dict[BoolExpr, int] = {}
-    for v in sorted((n for n in order if n.op == "var"), key=lambda n: n.qubit.gid):
-        sig[v] = rng.getrandbits(_SWEEP_BITS)
-    for node in order:
-        op = node.op
-        if op == "not":
-            sig[node] = sig[node.args[0]] ^ _SWEEP_MASK
-        elif op == "and":
-            value = _SWEEP_MASK
-            for c in node.args:
-                value &= sig[c]
-            sig[node] = value
-        elif op == "xor":
-            value = 0
-            for c in node.args:
-                value ^= sig[c]
-            sig[node] = value
-    return sig
-
-
 def _sweep(store: BoolStore, e: BoolExpr) -> BoolExpr:
     """An equivalent of `e` with simulation-equivalent nodes merged.
 
@@ -444,7 +435,10 @@ def _sweep(store: BoolStore, e: BoolExpr) -> BoolExpr:
     if e.op in ("false", "true"):
         return e
     order = _postorder([e])
-    sig = _simulate(order)
+    # the variables draw their patterns in gid order
+    rng = random.Random(_SWEEP_SEED)
+    patterns = {v.qubit: rng.getrandbits(_SWEEP_BITS) for v in _inputs(order)}
+    sig = _simulate(order, patterns, _SWEEP_MASK)
     if sig[e]:
         return e
     by_sig = {0: store.false, _SWEEP_MASK: store.true}

@@ -10,7 +10,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from .boolform import BoolExpr, _postorder, evaluate, variables
+from .boolform import BoolExpr, _inputs, _postorder, evaluate
 from .elaborator import QubitId
 from .errors import ResourceLimit, SelfCheckError
 
@@ -54,9 +54,10 @@ def tseitin(e: BoolExpr) -> tuple[Cnf, int | None]:
     if e.op == "true":
         return Cnf([], 0, {}, e), None
 
-    inputs = variables(e)
-    var_map = {q: i + 1 for i, q in enumerate(inputs)}
-    next_var = len(inputs)
+    order = _postorder([e])
+    lit = {v: i + 1 for i, v in enumerate(_inputs(order))}
+    var_map = {v.qubit: i for v, i in lit.items()}
+    next_var = len(lit)
     clauses: list[list[int]] = []
 
     def fresh() -> int:
@@ -69,11 +70,8 @@ def tseitin(e: BoolExpr) -> tuple[Cnf, int | None]:
             raise ResourceLimit("size", f"CNF exceeded the {DEFAULT_MAX_CLAUSES}-clause cap")
         clauses.append(clause)
 
-    lit: dict[BoolExpr, int] = {}
-    for node in _postorder([e]):
-        if node.op == "var":
-            lit[node] = var_map[node.qubit]
-        elif node.op == "not":
+    for node in order:
+        if node.op == "not":
             lit[node] = -lit[node.args[0]]
         elif node.op == "and":
             v = fresh()
@@ -93,7 +91,7 @@ def tseitin(e: BoolExpr) -> tuple[Cnf, int | None]:
                 emit([w, acc, -b])
                 acc = w
             lit[node] = acc
-        else:
+        elif node.op != "var":
             raise SelfCheckError(f"constant below the root in canonical expr: {node.op}")
     return Cnf(clauses, next_var, var_map, e), lit[e]
 
@@ -410,28 +408,21 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
 
 
 def emit_smtlib(e: BoolExpr) -> str:
-    """SMT-LIB2 script over the Bool core: declarations, one assert, check-sat."""
-    lines = [f"(declare-const {q.label} Bool)" for q in variables(e)]
-    parts: list[str] = []
-    stack: list = [e]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        if item.op == "false":
-            parts.append("false")
-        elif item.op == "true":
-            parts.append("true")
-        elif item.op == "var":
-            parts.append(item.qubit.label)
-        else:
-            pieces: list = [f"({item.op}"]
-            for a in item.args:
-                pieces.append(" ")
-                pieces.append(a)
-            pieces.append(")")
-            stack.extend(reversed(pieces))
-    lines.append(f"(assert {''.join(parts)})")
+    """SMT-LIB2 script over the Bool core: one declaration per input, one
+    zero-argument definition per internal node (so a shared node is printed
+    once), one assert, check-sat.  Names are `q!<label>` and `n!<k>`: no
+    label holds a `!`, so none can equal a builtin or another name."""
+    order = _postorder([e])
+    inputs = _inputs(order)
+    name = {v: f"q!{v.qubit.label}" for v in inputs}
+    lines = [f"(declare-const {name[v]} Bool)" for v in inputs]
+    for node in order:
+        if node.op in ("false", "true"):
+            name[node] = node.op
+        elif node.op != "var":
+            name[node] = f"n!{len(lines) - len(inputs)}"
+            body = " ".join(name[c] for c in node.args)
+            lines.append(f"(define-fun {name[node]} () Bool ({node.op} {body}))")
+    lines.append(f"(assert {name[e]})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

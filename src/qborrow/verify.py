@@ -11,6 +11,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -131,18 +132,30 @@ def _decide_internal(e: BoolExpr, encoded, budget_conflicts: int, budget_seconds
 
 def _run_solver(argv: list[str], budget_seconds: float) -> Decision:
     """Run an external solver; it must print a line that is exactly `sat`
-    or `unsat`."""
+    or `unsat`.  It runs in its own process group, which is killed whole
+    when the time budget runs out, so a wrapper script leaves no child."""
     try:
         # a byte that is not UTF-8 decodes to U+FFFD, so its line is no verdict
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, errors="replace", timeout=budget_seconds
+        proc = subprocess.Popen(
+            argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            errors="replace",
+            start_new_session=True,
         )
-    except subprocess.TimeoutExpired:
-        raise ResourceLimit("time", f"solver ran past {budget_seconds}s")
     except OSError as exc:
         raise ResourceLimit("exec", f"solver did not start: {exc}")
+    with proc:
+        try:
+            stdout, _ = proc.communicate(timeout=budget_seconds)
+        except subprocess.TimeoutExpired:
+            # the leader is not reaped yet, so its group id is still taken
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise ResourceLimit("time", f"solver ran past {budget_seconds}s")
     # match whole lines: "unsat" contains "sat" as a substring
-    for line in proc.stdout.splitlines():
+    for line in stdout.splitlines():
         if line.strip() in ("sat", "unsat"):
             return Decision(line.strip())
     raise ResourceLimit("output", "solver printed no line that is exactly sat or unsat")

@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +71,21 @@ CCNOT[q1, q2, a];
 CCNOT[a, q4, q5];
 CCNOT[q1, q2, a];
 """
+
+
+def ring_source(k: int) -> str:
+    """Three qubits put through k rounds of three Toffolis: `a` is Safe
+    when 4 divides k, and its formulas are small DAGs that share subterms
+    heavily."""
+    return (
+        f"borrow a;\nborrow@ b;\nborrow@ c;\nfor i = 1 to {k} {{\n"
+        "  CCNOT[b, c, a];\n  CCNOT[c, a, b];\n  CCNOT[a, b, c];\n}\n"
+        "release a;\nrelease b;\nrelease c;\n"
+    )
+
+
+# the SMT-LIB2 solver shim as a `cmd:` solver argv (it needs sympy)
+SHIM = [sys.executable, str(Path(__file__).with_name("smt_shim.py"))]
 
 
 @pytest.fixture(scope="session")

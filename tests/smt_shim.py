@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Minimal SMT-LIB2 solver shim: reads a script of (declare-const X Bool) /
-(assert E) / (check-sat) forms and prints `sat` or `unsat`.
+(define-fun X () Bool E) / (assert E) / (check-sat) forms and prints `sat`
+or `unsat`.  Like a conforming solver it rejects a declaration or definition
+of a Core builtin such as `true` or `false`, and of a name already in use.
 
 Used by the test suite as a stand-in external solver when no real SMT tool
 is installed. Decisions are delegated to sympy's DPLL, which shares no code
@@ -149,8 +151,18 @@ def freeze(form):
     return tuple(freeze(x) for x in form) if isinstance(form, list) else form
 
 
+CORE_SYMBOLS = frozenset(["true", "false", "not", "and", "or", "xor", "=>", "=", "ite", "distinct"])
+
+
+def bind(enc, name, value):
+    if name in CORE_SYMBOLS or name in enc.symbols:
+        raise ValueError(f"cannot bind {name!r}: builtin or already bound")
+    enc.symbols[name] = value
+
+
 def main(path):
-    tokens = tokenize(open(path).read())
+    with open(path) as f:
+        tokens = tokenize(f.read())
     enc = Encoder({})
     pos = 0
     while pos < len(tokens):
@@ -161,7 +173,12 @@ def main(path):
             name, sort = form[1], form[2]
             if sort != "Bool":
                 raise ValueError(f"unsupported sort {sort!r}")
-            enc.symbols[name] = sympy.Symbol(name)
+            bind(enc, name, sympy.Symbol(name))
+        elif form[0] == "define-fun":
+            name, params, sort, body = form[1:]
+            if params != [] or sort != "Bool":
+                raise ValueError(f"unsupported definition of {name!r}")
+            bind(enc, name, enc.lit(freeze(body)))
         elif form[0] == "assert":
             enc.assert_form(form[1])
         elif form[0] == "check-sat":

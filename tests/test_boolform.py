@@ -265,6 +265,12 @@ def test_canonical_forms_preserve_semantics(tree):
         assert evaluate(e, env) == naive_eval(tree, env)
 
 
+def test_evaluate_needs_every_variable():
+    s = BoolStore()
+    with pytest.raises(KeyError):
+        evaluate(s.and_([s.var(V[0]), s.var(V[1])]), {V[0]: False})
+
+
 @settings(max_examples=100, deadline=None)
 @given(tree_strategy(5), tree_strategy(5))
 def test_interning_respects_semantics(t1, t2):

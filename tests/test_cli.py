@@ -1,9 +1,11 @@
 import json
 import os
+import shlex
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from qborrow.verify import (
     witness_violates,
 )
 
-from conftest import LEAKY_CCCNOT_SRC, SAFE_CCCNOT_SRC
+from conftest import LEAKY_CCCNOT_SRC, SAFE_CCCNOT_SRC, SHIM, ring_source
 
 
 @pytest.fixture()
@@ -191,6 +193,36 @@ def test_external_solver_output_not_utf8_is_unknown(qbr, tmp_path, capsys):
     assert out.splitlines()[-1].split()[:5] == ["mcx", "4", "9", "32", "unknown"]
 
 
+def test_solver_timeout_kills_its_process_group(qbr, tmp_path, capsys):
+    mark = tmp_path / "MARK"
+    exe = fake_solver(tmp_path, f"(sleep 1; touch {shlex.quote(str(mark))}) & sleep 5")
+    path = qbr("twice.qbr", "borrow a;\nX[a];\nX[a];\nrelease a;\n")
+    args = ["verify", path, "--solver", f"cmd:{exe}", "--budget-seconds", "0.3"]
+    assert main(args) == EXIT_UNKNOWN
+    assert "a: Unknown (budget: time)" in capsys.readouterr().out
+    time.sleep(1.5)  # a surviving background child would have touched MARK
+    assert not mark.exists()
+
+
+def test_register_named_false_is_a_variable_to_the_solver(qbr, capsys):
+    pytest.importorskip("sympy")  # the shim's decision procedure
+    path = qbr("leaky.qbr", LEAKY_CCCNOT_SRC.replace("q4", "false"))
+    assert main(["verify", path, "--solver", "cmd:" + shlex.join(SHIM)]) == EXIT_UNSAFE
+    assert "a: Unsafe via cond2" in capsys.readouterr().out
+
+
+def test_ring_scripts_get_the_internal_verdict(qbr, tmp_path, capsys):
+    # shared subterms: a tree-printed script would grow exponentially with k
+    pytest.importorskip("sympy")
+    path = qbr("ring8.qbr", ring_source(8))
+    assert main(["verify", path]) == EXIT_SAFE
+    d = tmp_path / "smt"
+    args = ["verify", path, "--emit-smtlib", str(d), "--solver", "cmd:" + shlex.join(SHIM)]
+    assert main(args) == EXIT_SAFE
+    assert capsys.readouterr().out.count("a: Safe") == 2
+    assert sorted(p.name for p in d.iterdir()) == ["ring8.a.cond1.smt2", "ring8.a.cond2.smt2"]
+
+
 def test_external_solver_missing_binary(qbr):
     path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
     assert main(["verify", path, "--solver", "cmd:/nonexistent/solver"]) == EXIT_UNKNOWN
@@ -250,7 +282,7 @@ def test_emitted_files_and_names(qbr, tmp_path):
     ]
     assert (d / "leaky.a.cond2.cnf").read_text() == "c var 1 = q4\np cnf 1 1\n1 0\n"
     smt = (d / "leaky.a.cond2.smt2").read_text()
-    assert smt == "(declare-const q4 Bool)\n(assert q4)\n(check-sat)\n"
+    assert smt == "(declare-const q!q4 Bool)\n(assert q!q4)\n(check-sat)\n"
     # every emitted cnf parses
     for p in d.glob("*.cnf"):
         parse_dimacs(p.read_text())

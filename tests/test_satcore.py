@@ -18,10 +18,19 @@ from qborrow import (
     variables,
 )
 from qborrow import satcore
-from qborrow.boolform import _sweep, count_nodes, to_prefix
+from qborrow.boolform import (
+    _reachable,
+    _sweep,
+    cond_restore_plus,
+    cond_restore_zero,
+    count_nodes,
+    to_prefix,
+    track,
+)
 from qborrow.satcore import ResourceLimit
-from qborrow.elaborator import QubitId
+from qborrow.elaborator import QubitId, elaborate_source
 
+from conftest import ring_source
 from test_boolform import build_expr, tree_strategy
 
 V = [QubitId("x", i + 1, i, f"x{i+1}") for i in range(12)]
@@ -337,22 +346,51 @@ def test_smtlib_false_and_true():
 def test_smtlib_single_variable():
     s = BoolStore()
     q = QubitId("a", 1, 0, "a.1")
-    assert emit_smtlib(s.var(q)) == "(declare-const a.1 Bool)\n(assert a.1)\n(check-sat)\n"
+    assert emit_smtlib(s.var(q)) == "(declare-const q!a.1 Bool)\n(assert q!a.1)\n(check-sat)\n"
 
 
 def test_smtlib_nested():
     s = BoolStore()
     e = s.xor([s.var(V[1]), s.and_([s.var(V[0]), s.not_(s.var(V[2]))])])
-    text = emit_smtlib(e)
-    lines = text.splitlines()
-    assert lines[:3] == [
-        "(declare-const x1 Bool)",
-        "(declare-const x2 Bool)",
-        "(declare-const x3 Bool)",
+    assert emit_smtlib(e).splitlines() == [
+        "(declare-const q!x1 Bool)",
+        "(declare-const q!x2 Bool)",
+        "(declare-const q!x3 Bool)",
+        "(define-fun n!0 () Bool (not q!x3))",
+        "(define-fun n!1 () Bool (and q!x1 n!0))",
+        "(define-fun n!2 () Bool (xor q!x2 n!1))",
+        "(assert n!2)",
+        "(check-sat)",
     ]
-    assert lines[-1] == "(check-sat)"
-    assert lines[-2].startswith("(assert (xor ") and lines[-2].endswith("))")
-    assert "(and " in lines[-2] and "(not x3)" in lines[-2]
+
+
+def test_smtlib_grows_linearly_with_the_dag():
+    # ring k shares subterms heavily: printed as a tree, its script grows about
+    # sixfold per round, so k=5 fails fast before k=30 could exhaust memory
+    for k in (5, 30):
+        circuit = elaborate_source(ring_source(k))
+        state = track(circuit)
+        (q,) = circuit.verify_qubits()
+        for build in (cond_restore_zero, cond_restore_plus):
+            e = build(q, state)
+            nodes = _reachable(e)
+            edges = sum(len(n.args) for n in nodes)
+            assert len(emit_smtlib(e)) <= 32 * (len(nodes) + edges), (k, build.__name__)
+
+
+@pytest.mark.parametrize(
+    "label", ["true", "false", "not", "and", "or", "xor", "ite", "distinct", "assert"]
+)
+def test_smtlib_register_named_like_a_builtin(label, tmp_path, capsys):
+    shim = pytest.importorskip("smt_shim")  # needs sympy
+    s = BoolStore()
+    x, a = s.var(QubitId(label, 1, 0, label)), s.var(V[1])
+    # x AND (x XOR a) AND a is unsat without folding to a constant
+    for e in (x, s.not_(x), s.and_([x, s.not_(a)]), s.and_([x, s.xor([x, a]), a])):
+        script = tmp_path / f"{label}.smt2"
+        script.write_text(emit_smtlib(e))
+        shim.main(str(script))
+        assert capsys.readouterr().out.strip() == check_sat(e).status
 
 
 def test_smtlib_deterministic():
