@@ -8,9 +8,11 @@ the unsatisfiability of two conditions built here:
   * cond_restore_zero: b_q AND NOT q   -- the circuit maps q=0 back to 0;
   * cond_restore_plus: some other qubit's final value depends on q.
 
-cond_restore_plus sweeps its miter before returning it: nodes that agree on
-random simulation patterns are merged where the store's own rewrite rules
-prove them equal, so a Safe cond2 usually folds to `false` without a solver.
+cond_restore_plus cofactors only the cone of q, the nodes whose support (the
+variables below them) holds q, and sweeps its miter before returning it: new
+nodes that agree on random simulation patterns are merged where the store's
+own rewrite rules prove them equal, so a Safe cond2 usually folds to `false`
+without a solver.
 
 Expressions are hash-consed into a DAG with canonical constructors, so
 structural equality is node identity and the x XOR x = 0 cancellation that
@@ -19,7 +21,7 @@ keeps benchmark formulas small happens automatically.
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .elaborator import FlatCircuit, McxGate, QubitId, QubitRole
 from .errors import ResourceLimit
@@ -56,7 +58,7 @@ def _fnv(s: str) -> int:
 class BoolExpr:
     """One hash-consed DAG node; compare with `is` (interning guarantees it)."""
 
-    __slots__ = ("op", "args", "qubit", "shash", "serial")
+    __slots__ = ("op", "args", "qubit", "shash", "serial", "supp")
 
     def __init__(self, op: str, args: tuple, qubit, shash: int, serial: int):
         self.op = op  # false | true | var | not | and | xor
@@ -64,9 +66,19 @@ class BoolExpr:
         self.qubit = qubit  # QubitId for var nodes, else None
         self.shash = shash
         self.serial = serial
+        # support: bit gid is set for every variable below the node
+        supp = 0 if qubit is None else 1 << qubit.gid
+        for a in args:
+            supp |= a.supp
+        self.supp = supp
 
     def __repr__(self):
-        return to_prefix(self)
+        # bounded: a tree print of a shared DAG grows exponentially
+        if self.op == "var":
+            return self.qubit.label
+        if not self.args:
+            return self.op
+        return f"<{self.op} #{self.serial}, {len(self.args)} args>"
 
     def sort_key(self) -> tuple[int, int]:
         return (self.shash, self.serial)
@@ -78,6 +90,11 @@ class BoolStore:
     def __init__(self):
         self._table: dict = {}
         self._n_nodes = 0
+        # the memo of _signatures, the pattern of each variable by gid so
+        # far, and the generator that draws the next ones
+        self._sig: dict[BoolExpr, int] = {}
+        self._patterns: list[int] = []
+        self._rng = random.Random(_SWEEP_SEED)
         self.false = self._intern("false", (), None)
         self.true = self._intern("true", (), None)
 
@@ -215,20 +232,18 @@ class BoolStore:
 
     def substitute(self, e: BoolExpr, qubit: QubitId, value: bool) -> BoolExpr:
         """Replace Var(qubit) by a constant; untouched subtrees keep identity."""
-        return self._cofactor(_postorder([e]), qubit, value)[e]
+        return self._cofactor(_cone([e], qubit), value).get(e, e)
 
-    def _cofactor(
-        self, order: list[BoolExpr], qubit: QubitId, value: bool
-    ) -> dict[BoolExpr, BoolExpr]:
-        """Every node of `order` (children first) with Var(qubit) replaced by
-        a constant."""
+    def _cofactor(self, cone: list[BoolExpr], value: bool) -> dict[BoolExpr, BoolExpr]:
+        """Every node of the cone of a variable (`_cone`) with that variable
+        replaced by a constant; a child outside the cone stands for itself."""
         constant = self.true if value else self.false
         out: dict[BoolExpr, BoolExpr] = {}
-        for node in order:
-            if node.op == "var" and node.qubit == qubit:
+        for node in cone:
+            if node.op == "var":  # the cone's one variable
                 out[node] = constant
             else:
-                out[node] = self._rebuild(node, [out[c] for c in node.args])
+                out[node] = self._rebuild(node, [out.get(c, c) for c in node.args])
         return out
 
     def _rebuild(self, node: BoolExpr, new_args: list[BoolExpr]) -> BoolExpr:
@@ -254,12 +269,17 @@ def _reachable(e: BoolExpr) -> set[BoolExpr]:
     return seen
 
 
-def _postorder(roots: Iterable[BoolExpr]) -> list[BoolExpr]:
+def _postorder(
+    roots: Iterable[BoolExpr], descend: Callable[[BoolExpr], object] | None = None
+) -> list[BoolExpr]:
     """Every node below any of `roots`, children first and each node once.
 
     A node's pending children are pushed in `args` order, so its last child
     is walked first.  Tseitin numbers its variables in this order, and the
-    numbering steers the CDCL, so the order decides the witnesses."""
+    numbering steers the CDCL, so the order decides the witnesses.
+
+    With `descend`, a child for which it is false is not walked, nor is
+    anything below it unless reached another way; the roots always are."""
     order: list[BoolExpr] = []
     done: set[BoolExpr] = set()
     for root in roots:
@@ -269,7 +289,7 @@ def _postorder(roots: Iterable[BoolExpr]) -> list[BoolExpr]:
             if node in done:
                 stack.pop()
                 continue
-            pending = [c for c in node.args if c not in done]
+            pending = [c for c in node.args if c not in done and (descend is None or descend(c))]
             if pending:
                 stack.extend(pending)
                 continue
@@ -279,13 +299,21 @@ def _postorder(roots: Iterable[BoolExpr]) -> list[BoolExpr]:
     return order
 
 
+def _cone(roots: Iterable[BoolExpr], qubit: QubitId) -> list[BoolExpr]:
+    """The nodes below `roots` that have Var(qubit) below them, children
+    first.  Support only grows towards the root, so they come in the same
+    relative order as in `_postorder(roots)`."""
+    bit = 1 << qubit.gid
+    return _postorder([r for r in roots if r.supp & bit], lambda n: n.supp & bit)
+
+
 def _simulate(
-    order: list[BoolExpr], inputs: Mapping[QubitId, int], ones: int
+    order: list[BoolExpr], inputs: Mapping[QubitId, int], ones: int, sig: dict
 ) -> dict[BoolExpr, int]:
-    """Bit-parallel values of every node of `order` (children first): each
+    """Bit-parallel values of every node of `order` (children first), added
+    to `sig`, which already holds those of any other child they read: each
     variable takes its column from `inputs`, and `ones` has one bit set per
     pattern in use, which every column lies within."""
-    sig: dict[BoolExpr, int] = {}
     for node in order:
         op = node.op
         if op == "and":
@@ -309,7 +337,7 @@ def _simulate(
 
 def evaluate(e: BoolExpr, env: Mapping[QubitId, bool]) -> bool:
     """Evaluate under an assignment of every variable occurring in `e`."""
-    return bool(_simulate(_postorder([e]), env, 1)[e])
+    return bool(_simulate(_postorder([e]), env, 1, {})[e])
 
 
 def _inputs(nodes: Iterable[BoolExpr]) -> list[BoolExpr]:
@@ -406,12 +434,16 @@ def cond_restore_plus(q: QubitId, s: FormulaState) -> BoolExpr:
     requires, hence the name.
     """
     store = s.store
-    outputs = [s[other] for other in sorted(s.formulas, key=lambda x: x.gid) if other != q]
-    # one walk over all outputs, cofactored once per constant: they share subtrees
-    order = _postorder(outputs)
-    zero = store._cofactor(order, q, False)
-    one = store._cofactor(order, q, True)
-    return _sweep(store, store.or_([store.xor([zero[b], one[b]]) for b in outputs]))
+    # an output without q in its support cannot depend on q
+    bit = 1 << q.gid
+    outputs = [s[o] for o in sorted(s.formulas, key=lambda x: x.gid) if o != q and s[o].supp & bit]
+    # one walk over the cone of q in all outputs, cofactored once per
+    # constant: the outputs share subtrees
+    cone = _cone(outputs, q)
+    mark = len(store)
+    zero = store._cofactor(cone, False)
+    one = store._cofactor(cone, True)
+    return _sweep(store, store.or_([store.xor([zero[b], one[b]]) for b in outputs]), mark)
 
 
 # --------------------------------------------------------------------------
@@ -423,10 +455,28 @@ _SWEEP_BITS = 256  # patterns simulated at once, one per bit of a Python int
 _SWEEP_MASK = (1 << _SWEEP_BITS) - 1
 
 
-def _sweep(store: BoolStore, e: BoolExpr) -> BoolExpr:
+def _signatures(store: BoolStore, e: BoolExpr) -> list[BoolExpr]:
+    """Simulate every node below `e` that the store's memo `_sig` lacks, so
+    each node is simulated once per store; returns those nodes, children
+    first.  Variable gid takes the gid-th draw of `random.Random(_SWEEP_SEED)`
+    as its pattern."""
+    sig = store._sig
+    if e in sig:  # and so is every node below it
+        return []
+    order = _postorder([e], lambda n: n not in sig)
+    inputs = _inputs(order)
+    patterns = store._patterns
+    while inputs and len(patterns) <= inputs[-1].qubit.gid:
+        patterns.append(store._rng.getrandbits(_SWEEP_BITS))
+    _simulate(order, {v.qubit: patterns[v.qubit.gid] for v in inputs}, _SWEEP_MASK, sig)
+    return order
+
+
+def _sweep(store: BoolStore, e: BoolExpr, mark: int = 0) -> BoolExpr:
     """An equivalent of `e` with simulation-equivalent nodes merged.
 
-    Bottom up, each node is rebuilt from its children's representatives; when
+    Bottom up, each node interned at or after serial `mark` is rebuilt from
+    its children's representatives (an older child stands for itself); when
     its signature matches an earlier representative or a constant, the two
     merge only if the store's rewrite rules fold their xor to `false`, so
     every merge is proved without a SAT call.  A constant `e`, or one that a
@@ -434,19 +484,18 @@ def _sweep(store: BoolStore, e: BoolExpr) -> BoolExpr:
     """
     if e.op in ("false", "true"):
         return e
-    order = _postorder([e])
-    # the variables draw their patterns in gid order
-    rng = random.Random(_SWEEP_SEED)
-    patterns = {v.qubit: rng.getrandbits(_SWEEP_BITS) for v in _inputs(order)}
-    sig = _simulate(order, patterns, _SWEEP_MASK)
+    fresh = _signatures(store, e)
+    sig = store._sig
     if sig[e]:
         return e
+    # no node made since `mark` has been simulated before, so all are fresh
+    order = [n for n in fresh if n.serial >= mark] if mark else _postorder([e])
     by_sig = {0: store.false, _SWEEP_MASK: store.true}
     rep: dict[BoolExpr, BoolExpr] = {}
     for node in order:
-        new = store._rebuild(node, [rep[c] for c in node.args])
+        new = store._rebuild(node, [rep.get(c, c) for c in node.args])
         cand = by_sig.setdefault(sig[node], new)
         if cand is not new and store.xor([new, cand]) is store.false:
             new = cand
         rep[node] = new
-    return rep[e]
+    return rep.get(e, e)

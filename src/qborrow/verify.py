@@ -10,9 +10,6 @@ Safe; a budget that runs out means Unknown.
 import json
 import math
 import os
-import shlex
-import signal
-import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -123,7 +120,12 @@ def _ms_since(t0: float) -> float:
 
 
 def _decide_internal(e: BoolExpr, encoded, budget_conflicts: int, budget_seconds: float) -> Decision:
-    """Decide `e`, reusing its Tseitin encoding `(cnf, root)` when given."""
+    """Decide `e`, reusing its Tseitin encoding `(cnf, root)` when given.
+    A constant needs neither; its sizes are those of its Tseitin encoding."""
+    if e.op == "false":  # the empty clause
+        return Decision("unsat", cnf_clauses=1)
+    if e.op == "true":  # the empty CNF
+        return Decision("sat", {})
     cnf, root = encoded or tseitin(e)
     res = solve(cnf, root, budget_conflicts=budget_conflicts, budget_seconds=budget_seconds)
     witness = {q.label: v for q, v in res.model.items()} if res.is_sat else None
@@ -134,6 +136,9 @@ def _run_solver(argv: list[str], budget_seconds: float) -> Decision:
     """Run an external solver; it must print a line that is exactly `sat`
     or `unsat`.  It runs in its own process group, which is killed whole
     when the time budget runs out, so a wrapper script leaves no child."""
+    import signal
+    import subprocess  # only cmd: solvers need these two
+
     try:
         # a byte that is not UTF-8 decodes to U+FFFD, so its line is no verdict
         proc = subprocess.Popen(
@@ -274,6 +279,8 @@ def verify_circuit(
     t_start = time.perf_counter()
     external = None
     if solver.startswith("cmd:"):
+        import shlex
+
         try:
             external = shlex.split(solver[4:])
         except ValueError as exc:  # an unbalanced quote

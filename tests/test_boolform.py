@@ -21,6 +21,8 @@ from qborrow import (
 from qborrow.elaborator import QubitId
 from qborrow.errors import ResourceLimit
 
+from conftest import ring_source
+
 V = [QubitId("v", i + 1, i, f"v{i+1}") for i in range(8)]
 
 
@@ -151,6 +153,19 @@ def test_to_prefix_deterministic_across_stores():
         return s.xor([s.and_([c, a]), b, s.and_([a, b])])
 
     assert to_prefix(build(BoolStore())) == to_prefix(build(BoolStore()))
+
+
+def test_repr_is_bounded():
+    # ring k shares subterms heavily: printed as a tree, its cond2 grows about
+    # sixfold per round, so k=5 fails fast before k=30 could exhaust memory
+    for k in (5, 30):
+        circuit = elaborate_source(ring_source(k))
+        state = track(circuit)
+        (q,) = circuit.verify_qubits()
+        for build in (cond_restore_zero, cond_restore_plus):
+            assert len(repr(build(q, state))) < 100, (k, build.__name__)
+    s = BoolStore()
+    assert [repr(e) for e in (s.var(V[0]), s.false, s.true)] == ["v1", "false", "true"]
 
 
 def test_variables_sorted_by_gid():

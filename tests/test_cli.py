@@ -548,6 +548,24 @@ def test_import_leaves_numpy_unloaded(qbr):
         assert proc.returncode == expected, proc.stderr
 
 
+def test_verify_leaves_the_external_solver_modules_unloaded(qbr):
+    # only `cmd:` solvers run a subprocess; count what the interpreter had not loaded itself
+    src = str(Path(qborrow.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QBORROW_")}
+    env["PYTHONPATH"] = src
+    code = (
+        "import sys; before = set(sys.modules); from qborrow.cli import main; "
+        "code = main(sys.argv[1:]); loaded = set(sys.modules) - before; "
+        "print(sorted(loaded & {'shlex', 'signal', 'subprocess'})); sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", qbr("safe.qbr", SAFE_CCCNOT_SRC)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_SAFE, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_console_script_installed():
     import shutil
 

@@ -3,6 +3,7 @@ benchmark programs checked against exhaustive enumeration."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qborrow
+from qborrow import boolform
 from qborrow.benchgen import adder_source, mcx_source
 from qborrow.boolform import _sweep, cond_restore_plus, count_nodes, track, variables
 from qborrow.elaborator import elaborate_source
@@ -122,6 +124,88 @@ def test_sweep_keeps_the_function_of_formulas_no_pattern_satisfies():
                 assert truth_table(swept, vs) == truth_table(e, vs)
                 shrunk += count_nodes(swept) < count_nodes(e)
     assert shrunk >= 10
+
+
+# --------------------------------------------------------------------------
+# cond2 on the cone of q
+
+
+@pytest.mark.parametrize("circuits", ["corpus", "adder8_mutants"])
+def test_support_is_the_gid_bits_of_the_variables_below(circuits, request):
+    corpus = request.getfixturevalue("corpus") if circuits == "corpus" else adder8_mutants()
+    for c in corpus:
+        state = track(c)
+        for q in c.verify_qubits():
+            cond_restore_plus(q, state)
+        for node in state.store._table.values():
+            assert node.supp == sum(1 << v.gid for v in variables(node)), node
+
+
+def test_signatures_are_memoized_simulations():
+    c = adder8_mutants()[2]
+    state = track(c)
+    store = state.store
+    for q in c.verify_qubits():
+        cond_restore_plus(q, state)
+    rng = random.Random(boolform._SWEEP_SEED)
+    patterns = [rng.getrandbits(boolform._SWEEP_BITS) for _ in c.qubits]
+    nodes = list(store._table.values())
+    random.Random(1).shuffle(nodes)
+    for node in nodes:  # first asked for in an order that is not children first
+        boolform._signatures(store, node)
+    sig = store._sig
+    assert set(sig) >= set(nodes)
+    for node in nodes:
+        inputs = {v: patterns[v.gid] for v in variables(node)}
+        fresh = boolform._simulate(boolform._postorder([node]), inputs, boolform._SWEEP_MASK, {})
+        assert sig[node] == fresh[node], node
+
+
+def test_cond2_without_a_dependent_output_builds_nothing(monkeypatch):
+    # a.15, the last carry of adder n=16, reaches no output but its own
+    c = elaborate_source(adder_source(16))
+    state = track(c)
+    cones, cofactor = [], boolform.BoolStore._cofactor
+
+    def probe(self, cone, value):
+        cones.append(cone)
+        return cofactor(self, cone, value)
+
+    monkeypatch.setattr(boolform.BoolStore, "_cofactor", probe)
+    n = len(state.store)
+    assert cond_restore_plus(c.qubit("a", 15), state) is state.store.false
+    assert len(state.store) == n
+    assert cones == [[], []]
+
+
+def test_sweep_visits_only_the_nodes_the_build_made(monkeypatch):
+    c = elaborate_source(adder_source(16))
+    state = track(c)
+    store = state.store
+    sweeping, visited = [], []
+    sweep, rebuild = boolform._sweep, boolform.BoolStore._rebuild
+
+    def probe_sweep(*args):
+        sweeping.append(True)
+        try:
+            return sweep(*args)
+        finally:
+            sweeping.pop()
+
+    def probe_rebuild(self, node, new_args):
+        if sweeping:
+            visited.append(node)
+        return rebuild(self, node, new_args)
+
+    monkeypatch.setattr(boolform, "_sweep", probe_sweep)
+    monkeypatch.setattr(boolform.BoolStore, "_rebuild", probe_rebuild)
+    swept = 0
+    for q in c.verify_qubits():
+        mark, visited[:] = len(store), []
+        assert cond_restore_plus(q, state) is store.false, q.label
+        assert all(node.serial >= mark for node in visited), q.label
+        swept += bool(visited)
+    assert swept >= 10  # the miters that do not fold while they are built
 
 
 def run_report(path: Path, report: Path, hashseed: str) -> dict:

@@ -75,10 +75,11 @@ def test_cond2_is_built_only_when_decided_or_written(monkeypatch, tmp_path, emit
         assert sorted(p.name for p in d.iterdir()) == ["flip.a.cond1.smt2", "flip.a.cond2.smt2"]
 
 
-@pytest.mark.parametrize("emit, calls", [(False, 17), (True, 18)])
+@pytest.mark.parametrize("emit, calls", [(False, 1), (True, 18)])
 def test_each_condition_is_encoded_once(monkeypatch, tmp_path, emit, calls):
-    # adder n=10 without gate 1: 17 decided conditions, and one cond2 that
-    # is only written; the .cnf writer and the solver share one encoding
+    # adder n=10 without gate 1: 17 decided conditions, 16 of them constants
+    # that are decided unencoded, and one cond2 that is only written; the
+    # .cnf writer and the solver share one encoding
     original, encoded = verify.tseitin, []
     monkeypatch.setattr(verify, "tseitin", lambda e: encoded.append(e) or original(e))
     path = tmp_path / "mutant.qbr"
@@ -86,6 +87,23 @@ def test_each_condition_is_encoded_once(monkeypatch, tmp_path, emit, calls):
     args = ["verify", str(path)] + (["--emit-dimacs", str(tmp_path / "d")] if emit else [])
     assert main(args) == EXIT_UNSAFE
     assert len(encoded) == calls
+    formulas = [e for e in encoded if e.args]  # every constant is one node
+    assert formulas and len(set(formulas)) == len(formulas)
+
+
+def test_constant_conditions_are_decided_unencoded(monkeypatch):
+    # cond1 of a folds to false and cond2 to true while they are built
+    def unused(*args, **kwargs):
+        raise AssertionError("a constant condition was encoded or solved")
+
+    s = BoolStore()
+    sizes = [(cnf.n_vars, len(cnf.clauses)) for cnf, _ in map(satcore.tseitin, (s.false, s.true))]
+    monkeypatch.setattr(verify, "tseitin", unused)
+    monkeypatch.setattr(verify, "solve", unused)
+    c = elaborate_source("borrow a;\nborrow@ b;\nCNOT[a, b];\nrelease a;\nrelease b;\n")
+    v = verdict(verify_circuit(c), "a")
+    assert (v.status, v.violated, v.witness) == ("unsafe", "cond2", {})
+    assert (v.cnf_vars, v.cnf_clauses) == tuple(map(sum, zip(*sizes))) == (0, 1)
 
 
 def test_external_solver_reads_the_emitted_scripts(monkeypatch, tmp_path):
