@@ -66,8 +66,9 @@ class BoolExpr:
         self.qubit = qubit  # QubitId for var nodes, else None
         self.shash = shash
         self.serial = serial
-        # support: bit gid is set for every variable below the node
-        supp = 0 if qubit is None else 1 << qubit.gid
+        # support: the bits (BoolStore._bit) of the variables below the node;
+        # a variable has 0 until the store gives it its bit
+        supp = 0
         for a in args:
             supp |= a.supp
         self.supp = supp
@@ -90,8 +91,9 @@ class BoolStore:
     def __init__(self):
         self._table: dict = {}
         self._n_nodes = 0
-        # the memo of _signatures, the pattern of each variable by gid so
-        # far, and the generator that draws the next ones
+        self._n_vars = 0  # support bits given so far
+        # the memo of _signatures, the pattern of each support bit so far,
+        # and the generator that draws the next ones
         self._sig: dict[BoolExpr, int] = {}
         self._patterns: list[int] = []
         self._rng = random.Random(_SWEEP_SEED)
@@ -110,6 +112,8 @@ class BoolStore:
         else:
             shash = _SALT[op]
             for a in args:
+                if not a.supp and a.op == "var":  # its first use below a node
+                    self._bit(a)
                 shash = ((shash ^ a.shash) * _FNV_PRIME) & _MASK
         node = BoolExpr(op, args, qubit, shash, self._n_nodes)
         self._table[key] = node
@@ -118,6 +122,16 @@ class BoolStore:
 
     def __len__(self) -> int:
         return self._n_nodes
+
+    def _bit(self, v: BoolExpr) -> int:
+        """The support bit of variable node `v`, given at its first use, so
+        supports and sweep patterns grow with the variables in use, not with
+        the gids declared.  Every node that has `v` below it was interned
+        after `v` got its bit, by `_intern` or here."""
+        if not v.supp:
+            v.supp = 1 << self._n_vars
+            self._n_vars += 1
+        return v.supp
 
     def var(self, qubit: QubitId) -> BoolExpr:
         return self._intern("var", (), qubit)
@@ -232,7 +246,7 @@ class BoolStore:
 
     def substitute(self, e: BoolExpr, qubit: QubitId, value: bool) -> BoolExpr:
         """Replace Var(qubit) by a constant; untouched subtrees keep identity."""
-        return self._cofactor(_cone([e], qubit), value).get(e, e)
+        return self._cofactor(_cone([e], self._bit(self.var(qubit))), value).get(e, e)
 
     def _cofactor(self, cone: list[BoolExpr], value: bool) -> dict[BoolExpr, BoolExpr]:
         """Every node of the cone of a variable (`_cone`) with that variable
@@ -299,11 +313,10 @@ def _postorder(
     return order
 
 
-def _cone(roots: Iterable[BoolExpr], qubit: QubitId) -> list[BoolExpr]:
-    """The nodes below `roots` that have Var(qubit) below them, children
-    first.  Support only grows towards the root, so they come in the same
-    relative order as in `_postorder(roots)`."""
-    bit = 1 << qubit.gid
+def _cone(roots: Iterable[BoolExpr], bit: int) -> list[BoolExpr]:
+    """The nodes below `roots` that have the variable of support bit `bit`
+    below them, children first.  Support only grows towards the root, so
+    they come in the same relative order as in `_postorder(roots)`."""
     return _postorder([r for r in roots if r.supp & bit], lambda n: n.supp & bit)
 
 
@@ -435,11 +448,11 @@ def cond_restore_plus(q: QubitId, s: FormulaState) -> BoolExpr:
     """
     store = s.store
     # an output without q in its support cannot depend on q
-    bit = 1 << q.gid
+    bit = store._bit(store.var(q))
     outputs = [s[o] for o in sorted(s.formulas, key=lambda x: x.gid) if o != q and s[o].supp & bit]
     # one walk over the cone of q in all outputs, cofactored once per
     # constant: the outputs share subtrees
-    cone = _cone(outputs, q)
+    cone = _cone(outputs, bit)
     mark = len(store)
     zero = store._cofactor(cone, False)
     one = store._cofactor(cone, True)
@@ -455,47 +468,46 @@ _SWEEP_BITS = 256  # patterns simulated at once, one per bit of a Python int
 _SWEEP_MASK = (1 << _SWEEP_BITS) - 1
 
 
-def _signatures(store: BoolStore, e: BoolExpr) -> list[BoolExpr]:
+def _signatures(store: BoolStore, e: BoolExpr) -> None:
     """Simulate every node below `e` that the store's memo `_sig` lacks, so
-    each node is simulated once per store; returns those nodes, children
-    first.  Variable gid takes the gid-th draw of `random.Random(_SWEEP_SEED)`
-    as its pattern."""
+    each node is simulated once per store.  The variable of support bit
+    1 << i takes the i-th draw of `random.Random(_SWEEP_SEED)` as its
+    pattern."""
     sig = store._sig
     if e in sig:  # and so is every node below it
-        return []
+        return
     order = _postorder([e], lambda n: n not in sig)
-    inputs = _inputs(order)
+    index = {v.qubit: store._bit(v).bit_length() - 1 for v in order if v.op == "var"}
     patterns = store._patterns
-    while inputs and len(patterns) <= inputs[-1].qubit.gid:
+    while len(patterns) <= max(index.values(), default=-1):
         patterns.append(store._rng.getrandbits(_SWEEP_BITS))
-    _simulate(order, {v.qubit: patterns[v.qubit.gid] for v in inputs}, _SWEEP_MASK, sig)
-    return order
+    _simulate(order, {q: patterns[i] for q, i in index.items()}, _SWEEP_MASK, sig)
 
 
 def _sweep(store: BoolStore, e: BoolExpr, mark: int = 0) -> BoolExpr:
     """An equivalent of `e` with simulation-equivalent nodes merged.
 
     Bottom up, each node interned at or after serial `mark` is rebuilt from
-    its children's representatives (an older child stands for itself); when
-    its signature matches an earlier representative or a constant, the two
-    merge only if the store's rewrite rules fold their xor to `false`, so
-    every merge is proved without a SAT call.  A constant `e`, or one that a
-    pattern already satisfies, is returned as it is.
+    its children's representatives (an older child stands for itself, and
+    has no newer child); when its signature matches an earlier
+    representative or a constant, the two merge only if the store's rewrite
+    rules fold their xor to `false`, so every merge is proved without a SAT
+    call.  Older nodes take no part in the comparison, so a new node equal
+    to an older one stays apart.  A constant `e`, or one that a pattern
+    already satisfies, is returned as it is.
     """
     if e.op in ("false", "true"):
         return e
-    fresh = _signatures(store, e)
+    _signatures(store, e)
     sig = store._sig
     if sig[e]:
         return e
-    # no node made since `mark` has been simulated before, so all are fresh
-    order = [n for n in fresh if n.serial >= mark] if mark else _postorder([e])
     by_sig = {0: store.false, _SWEEP_MASK: store.true}
     rep: dict[BoolExpr, BoolExpr] = {}
-    for node in order:
+    for node in _postorder([e], lambda n: n.serial >= mark):
         new = store._rebuild(node, [rep.get(c, c) for c in node.args])
         cand = by_sig.setdefault(sig[node], new)
         if cand is not new and store.xor([new, cand]) is store.false:
             new = cand
         rep[node] = new
-    return rep.get(e, e)
+    return rep[e]

