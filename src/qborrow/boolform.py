@@ -9,18 +9,18 @@ the unsatisfiability of two conditions built here:
   * cond_restore_plus: some other qubit's final value depends on q.
 
 cond_restore_plus cofactors only the cone of q, the nodes whose support (the
-variables below them) holds q, and sweeps its miter before returning it: new
-nodes that agree on random simulation patterns are merged where the store's
-own rewrite rules prove them equal, so a Safe cond2 usually folds to `false`
-without a solver.
+variables below them) holds q; an output without q in its support cannot
+depend on q.
 
 Expressions are hash-consed into a DAG with canonical constructors, so
 structural equality is node identity and the x XOR x = 0 cancellation that
-keeps benchmark formulas small happens automatically.
+keeps benchmark formulas small happens automatically.  XOR also factors
+common conjuncts, S AND A XOR S AND B -> S AND (A XOR B), so a borrowed
+carry that two terms thread through cancels while the circuit is tracked.
 """
 
-import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from .elaborator import FlatCircuit, McxGate, QubitId, QubitRole
@@ -39,10 +39,9 @@ _SALT = {
     "xor": 0xD6E8FEB86659FD93,
 }
 
-# pairwise complementary-factor elimination in XOR is quadratic in the child
-# count; skip it for very wide nodes (the result stays correct, just folded
-# less aggressively)
-_ELIM_MAX_CHILDREN = 128
+# AND flattens an AND child of at most this many args into its own; a wider
+# one stays one child, so a long chain of products is not copied at each step
+_FLATTEN_MAX_ARGS = 4
 
 # most nodes one store interns before it raises ResourceLimit("size")
 MAX_NODES = 10_000_000
@@ -81,28 +80,45 @@ class BoolExpr:
             return self.op
         return f"<{self.op} #{self.serial}, {len(self.args)} args>"
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.shash, self.serial)
+
+# AND and XOR nodes keep their args in this order, so one set of args
+# interns to one node
+_sort_key = attrgetter("shash", "serial")
+
+
+def _terms(xs: Iterable[BoolExpr], out: list[BoolExpr]) -> int:
+    """Append the terms of the XOR of `xs` (no constant, no negation) to
+    `out`; returns the parity of the negations and the `true`s they drop."""
+    parity = 0
+    for x in xs:
+        while x.op == "not":
+            parity ^= 1
+            x = x.args[0]
+        if x.op == "xor":
+            out.extend(x.args)
+        elif x.op == "true":
+            parity ^= 1
+        elif x.op != "false":
+            out.append(x)
+    return parity
 
 
 class BoolStore:
     """Append-only intern table; all constructors return canonical nodes."""
 
     def __init__(self):
-        self._table: dict = {}
+        # one table per op, keyed by the args tuple the node keeps (by the
+        # qubit for a variable), so no key is allocated per node
+        self._table: dict[str, dict] = {op: {} for op in _SALT}
         self._n_nodes = 0
         self._n_vars = 0  # support bits given so far
-        # the memo of _signatures, the pattern of each support bit so far,
-        # and the generator that draws the next ones
-        self._sig: dict[BoolExpr, int] = {}
-        self._patterns: list[int] = []
-        self._rng = random.Random(_SWEEP_SEED)
         self.false = self._intern("false", (), None)
         self.true = self._intern("true", (), None)
 
     def _intern(self, op: str, args: tuple, qubit) -> BoolExpr:
-        key = (op, args, qubit)
-        node = self._table.get(key)
+        table = self._table[op]
+        key = qubit if op == "var" else args
+        node = table.get(key)
         if node is not None:
             return node
         if self._n_nodes >= MAX_NODES:
@@ -116,7 +132,7 @@ class BoolStore:
                     self._bit(a)
                 shash = ((shash ^ a.shash) * _FNV_PRIME) & _MASK
         node = BoolExpr(op, args, qubit, shash, self._n_nodes)
-        self._table[key] = node
+        table[key] = node
         self._n_nodes += 1
         return node
 
@@ -125,9 +141,9 @@ class BoolStore:
 
     def _bit(self, v: BoolExpr) -> int:
         """The support bit of variable node `v`, given at its first use, so
-        supports and sweep patterns grow with the variables in use, not with
-        the gids declared.  Every node that has `v` below it was interned
-        after `v` got its bit, by `_intern` or here."""
+        supports grow with the variables in use, not with the gids declared.
+        Every node that has `v` below it was interned after `v` got its bit,
+        by `_intern` or here."""
         if not v.supp:
             v.supp = 1 << self._n_vars
             self._n_vars += 1
@@ -152,94 +168,62 @@ class BoolStore:
                 continue
             if c is self.false:
                 return self.false
-            if c.op == "and":
+            if c.op == "and" and len(c.args) <= _FLATTEN_MAX_ARGS:
                 flat.extend(c.args)
             else:
                 flat.append(c)
-        uniq: list[BoolExpr] = []
-        seen: set[BoolExpr] = set()
-        for c in flat:
-            if c not in seen:
-                seen.add(c)
-                uniq.append(c)
-        for c in uniq:  # x AND NOT x is unsatisfiable
+        seen = set(flat)
+        for c in seen:  # x AND NOT x is unsatisfiable
             if c.op == "not" and c.args[0] in seen:
                 return self.false
-        if not uniq:
-            return self.true
-        if len(uniq) == 1:
-            return uniq[0]
-        uniq.sort(key=BoolExpr.sort_key)
-        return self._intern("and", tuple(uniq), None)
+        if len(seen) > 1:
+            return self._intern("and", tuple(sorted(seen, key=_sort_key)), None)
+        return seen.pop() if seen else self.true
 
     def xor(self, children: Iterable[BoolExpr]) -> BoolExpr:
-        parity = 0
-        present: set[BoolExpr] = set()
-
-        def toggle(x: BoolExpr) -> None:
-            if x in present:
-                present.remove(x)
+        pending: list[BoolExpr] = []
+        parity = _terms(children, pending)
+        # the smallest key first, so the form does not depend on the order of
+        # `children`.  No two kept terms share a conjunct: `holder` maps a
+        # conjunct to the last term kept with it, and a term that shares one
+        # with a kept term is factored with it
+        pending.sort(key=_sort_key, reverse=True)
+        kept: set[BoolExpr] = set()
+        holder: dict[BoolExpr, BoolExpr] = {}
+        while pending:
+            x = pending.pop()
+            if x in kept:  # x XOR x = 0
+                kept.remove(x)
+                continue
+            conj = x.args if x.op == "and" else (x,)
+            for c in conj:
+                y = holder.get(c)
+                if y is not None and y in kept:
+                    kept.remove(y)
+                    parity ^= _terms([self._factor(y, x)], pending)
+                    break
             else:
-                present.add(x)
+                kept.add(x)
+                for c in conj:
+                    holder[c] = x
 
-        def insert(x: BoolExpr) -> None:
-            nonlocal parity
-            while x.op == "not":
-                parity ^= 1
-                x = x.args[0]
-            if x is self.false:
-                return
-            if x is self.true:
-                parity ^= 1
-                return
-            if x.op == "xor":
-                for a in x.args:
-                    toggle(a)
-            else:
-                toggle(x)
-
-        for c in children:
-            insert(c)
-
-        if len(present) <= _ELIM_MAX_CHILDREN:
-            changed = True
-            while changed and len(present) > 1:
-                changed = False
-                items = sorted(present, key=BoolExpr.sort_key)
-                for i, a in enumerate(items):
-                    for b in items[i + 1 :]:
-                        replacement = self._complementary_factor(a, b)
-                        if replacement is not None:
-                            present.discard(a)
-                            present.discard(b)
-                            insert(replacement)
-                            changed = True
-                            break
-                    if changed:
-                        break
-
-        if not present:
+        if not kept:
             base = self.false
-        elif len(present) == 1:
-            base = next(iter(present))
+        elif len(kept) == 1:
+            (base,) = kept
         else:
-            base = self._intern("xor", tuple(sorted(present, key=BoolExpr.sort_key)), None)
+            base = self._intern("xor", tuple(sorted(kept, key=_sort_key)), None)
         return self.not_(base) if parity else base
 
-    def _complementary_factor(self, a: BoolExpr, b: BoolExpr) -> BoolExpr | None:
-        """AND(S,T) XOR AND(S, NOT AND(T))  ->  AND(S), if a,b match that shape."""
-        set_a = set(a.args) if a.op == "and" else {a}
-        set_b = set(b.args) if b.op == "and" else {b}
-        for rest, other in ((set_b, set_a), (set_a, set_b)):
-            for u in rest:
-                if u.op != "not":
-                    continue
-                v = u.args[0]
-                factors = set(v.args) if v.op == "and" else {v}
-                remaining = rest - {u}
-                if other == remaining | factors:
-                    return self.and_(sorted(remaining, key=BoolExpr.sort_key))
-        return None
+    def _factor(self, x: BoolExpr, y: BoolExpr) -> BoolExpr:
+        """x XOR y as S AND (A XOR B), for S the conjuncts they share."""
+        cx = x.args if x.op == "and" else (x,)
+        cy = y.args if y.op == "and" else (y,)
+        in_x, in_y = set(cx), set(cy)
+        shared = [c for c in cx if c in in_y]
+        a = self.and_([c for c in cx if c not in in_y])
+        b = self.and_([c for c in cy if c not in in_x])
+        return self.and_(shared + [self.xor([a, b])])
 
     def or_(self, children: Iterable[BoolExpr]) -> BoolExpr:
         return self.not_(self.and_([self.not_(c) for c in children]))
@@ -321,12 +305,12 @@ def _cone(roots: Iterable[BoolExpr], bit: int) -> list[BoolExpr]:
 
 
 def _simulate(
-    order: list[BoolExpr], inputs: Mapping[QubitId, int], ones: int, sig: dict
+    order: list[BoolExpr], inputs: Mapping[QubitId, int], ones: int
 ) -> dict[BoolExpr, int]:
-    """Bit-parallel values of every node of `order` (children first), added
-    to `sig`, which already holds those of any other child they read: each
+    """Bit-parallel values of every node of `order` (children first): each
     variable takes its column from `inputs`, and `ones` has one bit set per
     pattern in use, which every column lies within."""
+    sig: dict[BoolExpr, int] = {}
     for node in order:
         op = node.op
         if op == "and":
@@ -350,7 +334,7 @@ def _simulate(
 
 def evaluate(e: BoolExpr, env: Mapping[QubitId, bool]) -> bool:
     """Evaluate under an assignment of every variable occurring in `e`."""
-    return bool(_simulate(_postorder([e]), env, 1, {})[e])
+    return bool(_simulate(_postorder([e]), env, 1)[e])
 
 
 def _inputs(nodes: Iterable[BoolExpr]) -> list[BoolExpr]:
@@ -408,25 +392,27 @@ def init_state(c: FlatCircuit) -> FormulaState:
     return FormulaState(store, formulas)
 
 
-def _update(formulas: dict, g: McxGate, store: BoolStore) -> None:
-    # X has no controls: its conjunction is `true`, and the xor negates
-    conj = store.and_([formulas[c] for c in g.controls])
-    formulas[g.target] = store.xor([formulas[g.target], conj])
+def _step(value: list[BoolExpr], g: McxGate, store: BoolStore) -> None:
+    # `value` is indexed by gid: a QubitId hashes through Python code.  X has
+    # no controls: its conjunction is `true`, and the xor negates
+    conj = store.and_([value[c.gid] for c in g.controls])
+    value[g.target.gid] = store.xor([value[g.target.gid], conj])
 
 
 def apply_gate(s: FormulaState, g: McxGate) -> FormulaState:
     """One gate step; returns a new state, the input is left untouched."""
-    formulas = dict(s.formulas)
-    _update(formulas, g, s.store)
-    return FormulaState(s.store, formulas)
+    value = list(s.formulas.values())  # init_state keys them in gid order
+    _step(value, g, s.store)
+    return FormulaState(s.store, dict(zip(s.formulas, value)))
 
 
 def track(c: FlatCircuit) -> FormulaState:
     """Fold apply_gate over the whole gate list starting from init_state."""
     state = init_state(c)
+    value = list(state.formulas.values())
     for g in c.gates:
-        _update(state.formulas, g, state.store)
-    return state
+        _step(value, g, state.store)
+    return FormulaState(state.store, dict(zip(c.qubits, value)))
 
 
 # --------------------------------------------------------------------------
@@ -449,65 +435,10 @@ def cond_restore_plus(q: QubitId, s: FormulaState) -> BoolExpr:
     store = s.store
     # an output without q in its support cannot depend on q
     bit = store._bit(store.var(q))
-    outputs = [s[o] for o in sorted(s.formulas, key=lambda x: x.gid) if o != q and s[o].supp & bit]
+    outputs = [b for o, b in s.formulas.items() if b.supp & bit and o.gid != q.gid]
     # one walk over the cone of q in all outputs, cofactored once per
     # constant: the outputs share subtrees
     cone = _cone(outputs, bit)
-    mark = len(store)
     zero = store._cofactor(cone, False)
     one = store._cofactor(cone, True)
-    return _sweep(store, store.or_([store.xor([zero[b], one[b]]) for b in outputs]), mark)
-
-
-# --------------------------------------------------------------------------
-# SAT sweeping
-# --------------------------------------------------------------------------
-
-_SWEEP_SEED = 0x5EED
-_SWEEP_BITS = 256  # patterns simulated at once, one per bit of a Python int
-_SWEEP_MASK = (1 << _SWEEP_BITS) - 1
-
-
-def _signatures(store: BoolStore, e: BoolExpr) -> None:
-    """Simulate every node below `e` that the store's memo `_sig` lacks, so
-    each node is simulated once per store.  The variable of support bit
-    1 << i takes the i-th draw of `random.Random(_SWEEP_SEED)` as its
-    pattern."""
-    sig = store._sig
-    if e in sig:  # and so is every node below it
-        return
-    order = _postorder([e], lambda n: n not in sig)
-    index = {v.qubit: store._bit(v).bit_length() - 1 for v in order if v.op == "var"}
-    patterns = store._patterns
-    while len(patterns) <= max(index.values(), default=-1):
-        patterns.append(store._rng.getrandbits(_SWEEP_BITS))
-    _simulate(order, {q: patterns[i] for q, i in index.items()}, _SWEEP_MASK, sig)
-
-
-def _sweep(store: BoolStore, e: BoolExpr, mark: int = 0) -> BoolExpr:
-    """An equivalent of `e` with simulation-equivalent nodes merged.
-
-    Bottom up, each node interned at or after serial `mark` is rebuilt from
-    its children's representatives (an older child stands for itself, and
-    has no newer child); when its signature matches an earlier
-    representative or a constant, the two merge only if the store's rewrite
-    rules fold their xor to `false`, so every merge is proved without a SAT
-    call.  Older nodes take no part in the comparison, so a new node equal
-    to an older one stays apart.  A constant `e`, or one that a pattern
-    already satisfies, is returned as it is.
-    """
-    if e.op in ("false", "true"):
-        return e
-    _signatures(store, e)
-    sig = store._sig
-    if sig[e]:
-        return e
-    by_sig = {0: store.false, _SWEEP_MASK: store.true}
-    rep: dict[BoolExpr, BoolExpr] = {}
-    for node in _postorder([e], lambda n: n.serial >= mark):
-        new = store._rebuild(node, [rep.get(c, c) for c in node.args])
-        cand = by_sig.setdefault(sig[node], new)
-        if cand is not new and store.xor([new, cand]) is store.false:
-            new = cand
-        rep[node] = new
-    return rep[e]
+    return store.or_([store.xor([zero[b], one[b]]) for b in outputs])

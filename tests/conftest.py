@@ -73,6 +73,11 @@ CCNOT[q1, q2, a];
 """
 
 
+def store_nodes(store) -> list:
+    """Every node a BoolStore has interned."""
+    return [node for table in store._table.values() for node in table.values()]
+
+
 def ring_source(k: int) -> str:
     """Three qubits put through k rounds of three Toffolis: `a` is Safe
     when 4 divides k, and its formulas are small DAGs that share subterms

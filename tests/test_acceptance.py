@@ -336,8 +336,8 @@ def test_criterion_10_external_solver_fidelity(tmp_path, safe_circuit, leaky_cir
 
 
 def test_emitted_residual_cond2_matches_check_sat(tmp_path):
-    # every adder8 cond2 sweeps to false, so criterion 10 sees `(assert false)`
-    # there; satisfiable cond2 of unsafe mutants reach the emitter unswept
+    # every adder8 cond2 folds to false while tracking, so criterion 10 sees
+    # `(assert false)` there; the cond2 of unsafe mutants reach the emitter
     cmd = _find_external_solver()
     if cmd is None:
         pytest.skip("no external SMT solver available")

@@ -18,10 +18,11 @@ from qborrow import (
     track,
     variables,
 )
+from qborrow.benchgen import mcx_source
 from qborrow.elaborator import QubitId
 from qborrow.errors import ResourceLimit
 
-from conftest import ring_source
+from conftest import ring_source, store_nodes
 
 V = [QubitId("v", i + 1, i, f"v{i+1}") for i in range(8)]
 
@@ -116,6 +117,32 @@ def test_complementary_factor_elimination():
     inner = s.and_([q1, q2])
     e = s.xor([s.and_([q1, q2, q3]), s.and_([q3, s.not_(inner)])])
     assert e is q3
+    # S AND T XOR S AND NOT T -> S, for T an xor and for S a product
+    t = s.xor([q2, q3])
+    assert s.xor([s.and_([q1, t]), s.and_([q1, s.not_(t)])]) is q1
+    shared = s.and_([q1, q3])
+    assert s.xor([s.and_([shared, q2]), s.and_([shared, s.not_(q2)])]) is shared
+
+
+def test_common_conjuncts_are_factored():
+    # S AND A XOR S AND B -> S AND (A XOR B), whichever order the terms come in
+    s = BoolStore()
+    a, b, c, d = (s.var(V[i]) for i in range(4))
+    e = s.xor([s.and_([a, b, c]), s.and_([a, b, d])])
+    assert e is s.and_([a, b, s.xor([c, d])])
+    assert s.xor([s.and_([a, b, d]), s.and_([c, b, a])]) is e
+    # a term that is itself the shared conjunct: S XOR S AND B -> S AND NOT B
+    assert s.xor([a, s.and_([a, b])]) is s.and_([a, s.not_(b)])
+    # the folded product cancels against a third term
+    assert s.xor([s.and_([a, c]), s.and_([a, d]), s.and_([a, s.xor([c, d])])]) is s.false
+
+
+def test_mcx_tracking_keeps_products_narrow():
+    # AND flattens only narrow AND children, so the V-chain's products are
+    # not copied into one flat product at every gate
+    state = track(elaborate_source(mcx_source(512)))
+    widths = [len(n.args) for n in store_nodes(state.store) if n.op == "and"]
+    assert max(widths) <= boolform._FLATTEN_MAX_ARGS + 1
 
 
 def test_structural_sharing_across_formulas():

@@ -20,7 +20,6 @@ from qborrow import (
 from qborrow import satcore
 from qborrow.boolform import (
     _reachable,
-    _sweep,
     cond_restore_plus,
     cond_restore_zero,
     count_nodes,
@@ -103,58 +102,56 @@ def test_input_numbering_follows_gid_order():
 
 def test_tseitin_numbering_is_pinned():
     # the numbering steers the CDCL and so decides the witnesses: a shared
-    # subterm under not, and and xor, encoded children first, last child first
+    # subterm under not, and and xor, encoded children first, last child
+    # first; no two terms of the xor share a conjunct, so none is factored
     s = BoolStore()
     a, b, c, d = (s.var(V[i]) for i in range(4))
     shared = s.and_([a, b])
     x = s.xor([shared, c])
-    e = s.xor([s.and_([x, s.not_(shared), d]), s.and_([x, c]), shared])
+    e = s.xor([s.and_([x, s.not_(shared)]), s.and_([c, d]), shared])
     assert to_prefix(e) == (
-        "xor(and(x3, xor(x3, and(x1, x2))), "
-        "and(x4, xor(x3, and(x1, x2)), not(and(x1, x2))), and(x1, x2))"
+        "xor(and(xor(x3, and(x1, x2)), not(and(x1, x2))), and(x3, x4), and(x1, x2))"
     )
     cnf, root = tseitin(e)
     assert cnf.var_map == {V[0]: 1, V[1]: 2, V[2]: 3, V[3]: 4}
     assert (cnf.n_vars, root) == (10, 10)
     assert cnf.clauses == [
         [-5, 1], [-5, 2], [5, -1, -2],
-        [-6, 3, 5], [-6, -3, -5], [6, -3, 5], [6, 3, -5],
-        [-7, 4], [-7, 6], [-7, -5], [7, -4, -6, 5],
-        [-8, 3], [-8, 6], [8, -3, -6],
-        [-9, 8, 7], [-9, -8, -7], [9, -8, 7], [9, 8, -7],
+        [-6, 3], [-6, 4], [6, -3, -4],
+        [-7, 3, 5], [-7, -3, -5], [7, -3, 5], [7, 3, -5],
+        [-8, 7], [-8, -5], [8, -7, 5],
+        [-9, 8, 6], [-9, -8, -6], [9, -8, 6], [9, 8, -6],
         [-10, 9, 5], [-10, -9, -5], [10, -9, 5], [10, 9, -5],
     ]
 
 
 def test_formula_deeper_than_the_recursion_limit():
+    # an and/xor chain whose xors share no conjunct, so nothing folds
     s = BoolStore()
-    a, b = s.var(V[0]), s.var(V[1])
+    a, b, c = s.var(V[0]), s.var(V[1]), s.var(V[2])
     depth = sys.getrecursionlimit() + 100
-    e = a
+    e = c
     for i in range(depth):
         e = s.and_([e, b]) if i % 2 == 0 else s.xor([e, a])
 
-    def truth(va, vb):
-        value = va
+    def truth(va, vb, vc):
+        value = vc
         for i in range(depth):
             value = (value and vb) if i % 2 == 0 else (value != va)
         return value
 
-    assignments = list(itertools.product([False, True], repeat=2))
-    assert count_nodes(e) == depth + 2
-    assert variables(e) == [V[0], V[1]]
+    assignments = list(itertools.product([False, True], repeat=3))
+    env = lambda va, vb, vc: {V[0]: va, V[1]: vb, V[2]: vc}
+    assert count_nodes(e) == depth + 3
+    assert variables(e) == [V[0], V[1], V[2]]
     assert len(to_prefix(e)) > depth
     one = s.substitute(e, V[0], True)
-    for va, vb in assignments:
-        assert evaluate(e, {V[0]: va, V[1]: vb}) == truth(va, vb)
-        assert evaluate(one, {V[0]: va, V[1]: vb}) == truth(True, vb)
+    for va, vb, vc in assignments:
+        assert evaluate(e, env(va, vb, vc)) == truth(va, vb, vc)
+        assert evaluate(one, env(va, vb, vc)) == truth(True, vb, vc)
     cnf, root = tseitin(e)
-    assert cnf.n_vars == 2 + depth
-    assert solve(cnf, root).is_sat == any(truth(va, vb) for va, vb in assignments)
-    assert _sweep(s, e) is e  # some pattern satisfies e
-    # no pattern satisfies e AND NOT a AND NOT b, so the sweep rebuilds it
-    swept = _sweep(s, s.and_([e, s.not_(a), s.not_(b)]))
-    assert not any(evaluate(swept, {V[0]: va, V[1]: vb}) for va, vb in assignments)
+    assert cnf.n_vars == 3 + depth
+    assert solve(cnf, root).is_sat == any(truth(*v) for v in assignments)
 
 
 def test_constant_cnf_skips_the_cdcl(monkeypatch):

@@ -1,9 +1,8 @@
-"""Sweeping of the cond2 miter, and single-gate-deletion mutants of the
-benchmark programs checked against exhaustive enumeration."""
+"""Cond2 on the cone of the borrowed qubit, and single-gate-deletion mutants
+of the benchmark programs checked against exhaustive enumeration."""
 
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +12,12 @@ import pytest
 import qborrow
 from qborrow import boolform
 from qborrow.benchgen import adder_source, mcx_source
-from qborrow.boolform import _sweep, cond_restore_plus, count_nodes, track, variables
+from qborrow.boolform import cond_restore_plus, track, variables
 from qborrow.elaborator import elaborate_source
 from qborrow.oracle import exhaustive_safe
 from qborrow.verify import verify_circuit, witness_violates
 
-from conftest import mutant_sources
+from conftest import mutant_sources, store_nodes
 
 
 def truth_table(e, vs) -> int:
@@ -59,7 +58,8 @@ def truth_table(e, vs) -> int:
     return value[e]
 
 
-def unswept_miter(q, state):
+def full_miter(q, state):
+    """cond2 built from every other output, each substituted on its own."""
     store = state.store
     deltas = [
         store.xor([store.substitute(state[o], q, False), store.substitute(state[o], q, True)])
@@ -70,7 +70,7 @@ def unswept_miter(q, state):
 
 
 # --------------------------------------------------------------------------
-# the sweep
+# cond2 against its definition
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -91,39 +91,12 @@ def test_swept_cond2_equals_the_miter_on_every_assignment(circuits, request):
     for c in corpus:
         state = track(c)
         for q in c.verify_qubits():
-            miter = unswept_miter(q, state)
-            swept = cond_restore_plus(q, state)
+            miter = full_miter(q, state)
+            cond2 = cond_restore_plus(q, state)
             vs = variables(miter)
-            table = truth_table(miter, vs)
-            assert truth_table(swept, vs) == table
-            # the patterns satisfy each satisfiable miter here, and one that a
-            # pattern satisfies goes to the solver unswept
-            assert swept is miter or not table
-
-
-def test_sweep_keeps_the_function_of_formulas_no_pattern_satisfies():
-    # each satisfiable miter, conjoined with all but `free` literals of one
-    # of its satisfying assignments, is true on at most 2^free assignments:
-    # the patterns miss most of these, so the sweep rebuilds and merges a
-    # satisfiable formula
-    shrunk = 0
-    for c in adder8_mutants():
-        state = track(c)
-        store = state.store
-        for q in c.verify_qubits():
-            miter = unswept_miter(q, state)
-            vs = variables(miter)
-            table = truth_table(miter, vs)
-            if not table:
-                continue
-            row = (table & -table).bit_length() - 1
-            lits = [store.var(v) if row >> i & 1 else store.not_(store.var(v)) for i, v in enumerate(vs)]
-            for free in (2, 4):
-                e = store.and_(lits[free:] + [miter])
-                swept = _sweep(store, e)
-                assert truth_table(swept, vs) == truth_table(e, vs)
-                shrunk += count_nodes(swept) < count_nodes(e)
-    assert shrunk >= 10
+            assert truth_table(cond2, vs) == truth_table(miter, vs)
+            # the outputs outside the cone of q add only `false` terms
+            assert cond2 is miter
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +111,7 @@ def test_support_is_the_bits_of_the_variables_below(circuits, request):
         store = state.store
         for q in c.verify_qubits():
             cond_restore_plus(q, state)
-        nodes = list(store._table.values())
+        nodes = store_nodes(store)
         bits = sorted(n.supp for n in nodes if n.op == "var" and n.supp)
         assert bits == [1 << i for i in range(len(bits))]  # one bit each, densely
         for node in nodes:
@@ -147,38 +120,16 @@ def test_support_is_the_bits_of_the_variables_below(circuits, request):
                 assert all(below) and node.supp == sum(below), node
 
 
-def test_support_and_patterns_grow_with_the_variables_in_use():
+def test_support_grows_with_the_variables_in_use():
     # adder n=8 after 40,000 declared qubits that no gate touches: its
-    # carries need 15 support bits and sweep patterns, not gid-many
+    # carries need 15 support bits, not gid-many
     big = "borrow@ r[20000];\nalloc z[20000];\n"
     c = elaborate_source(big + adder_source(8) + "release r;\nrelease z;\n")
     state = track(c)
     store = state.store
     for q in c.verify_qubits():
         assert cond_restore_plus(q, state) is store.false, q.label
-    assert max(n.supp.bit_length() for n in store._table.values()) <= 15
-    assert 0 < len(store._patterns) <= 15
-
-
-def test_signatures_are_memoized_simulations():
-    c = adder8_mutants()[2]
-    state = track(c)
-    store = state.store
-    for q in c.verify_qubits():
-        cond_restore_plus(q, state)
-    nodes = list(store._table.values())
-    random.Random(1).shuffle(nodes)
-    for node in nodes:  # first asked for in an order that is not children first
-        boolform._signatures(store, node)
-    sig = store._sig
-    assert set(sig) >= set(nodes)
-    # the variable of support bit 1 << i takes the i-th draw
-    rng = random.Random(boolform._SWEEP_SEED)
-    patterns = [rng.getrandbits(boolform._SWEEP_BITS) for _ in c.qubits]
-    for node in nodes:
-        inputs = {v: patterns[store.var(v).supp.bit_length() - 1] for v in variables(node)}
-        fresh = boolform._simulate(boolform._postorder([node]), inputs, boolform._SWEEP_MASK, {})
-        assert sig[node] == fresh[node], node
+    assert max(n.supp.bit_length() for n in store_nodes(store)) <= 15
 
 
 def test_cond2_without_a_dependent_output_builds_nothing(monkeypatch):
@@ -198,34 +149,33 @@ def test_cond2_without_a_dependent_output_builds_nothing(monkeypatch):
     assert cones == [[], []]
 
 
-def test_sweep_visits_only_the_nodes_the_build_made(monkeypatch):
-    c = elaborate_source(adder_source(16))
+def test_adder_carries_cancel_while_tracking(monkeypatch):
+    # S AND A XOR S AND B -> S AND (A XOR B) cancels every borrowed carry
+    # out of the outputs it threads through, so each cond2 is decided by
+    # the support mask alone
+    c = elaborate_source(adder_source(128))
     state = track(c)
     store = state.store
-    sweeping, visited = [], []
-    sweep, rebuild = boolform._sweep, boolform.BoolStore._rebuild
+    borrowed = c.verify_qubits()
+    leaks = [
+        (o.label, q.label)
+        for q in borrowed
+        for o, b in state.formulas.items()
+        if o != q and b.supp & store.var(q).supp
+    ]
+    assert leaks == []
+    cones, cofactor = [], boolform.BoolStore._cofactor
 
-    def probe_sweep(*args):
-        sweeping.append(True)
-        try:
-            return sweep(*args)
-        finally:
-            sweeping.pop()
+    def probe(self, cone, value):
+        cones.append(cone)
+        return cofactor(self, cone, value)
 
-    def probe_rebuild(self, node, new_args):
-        if sweeping:
-            visited.append(node)
-        return rebuild(self, node, new_args)
-
-    monkeypatch.setattr(boolform, "_sweep", probe_sweep)
-    monkeypatch.setattr(boolform.BoolStore, "_rebuild", probe_rebuild)
-    swept = 0
-    for q in c.verify_qubits():
-        mark, visited[:] = len(store), []
+    monkeypatch.setattr(boolform.BoolStore, "_cofactor", probe)
+    n = len(store)
+    for q in borrowed:
         assert cond_restore_plus(q, state) is store.false, q.label
-        assert all(node.serial >= mark for node in visited), q.label
-        swept += bool(visited)
-    assert swept >= 10  # the miters that do not fold while they are built
+    assert len(store) == n
+    assert cones == [[]] * (2 * len(borrowed))
 
 
 def run_report(path: Path, report: Path, hashseed: str) -> dict:

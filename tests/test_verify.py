@@ -19,7 +19,7 @@ from qborrow.cli import main
 from qborrow.errors import SelfCheckError
 from qborrow.verify import EXIT_DISAGREE, EXIT_SAFE, EXIT_UNKNOWN, EXIT_UNSAFE, verify_circuit
 
-from conftest import LEAKY_CCCNOT_SRC, SAFE_CCCNOT_SRC, mutant_sources
+from conftest import LEAKY_CCCNOT_SRC, SAFE_CCCNOT_SRC, mutant_sources, ring_source
 
 FLIP_SRC = "borrow a;\nX[a];\nrelease a;\n"
 
@@ -29,9 +29,10 @@ def verdict(report, label):
 
 
 def test_conflict_budget_gives_unknown():
-    # adder n=8 without gate 4: cond2 of a.7 needs search, which one conflict ends
-    c = elaborate_source(mutant_sources(adder_source(8))[4])
-    v = verdict(verify_circuit(c, budget_conflicts=1), "a.7")
+    # ring k=4: `a` is Safe, but a condition of it needs search, which one
+    # conflict ends
+    c = elaborate_source(ring_source(4))
+    v = verdict(verify_circuit(c, budget_conflicts=1), "a")
     assert (v.status, v.budget, v.violated) == ("unknown", "conflicts", None)
 
 
