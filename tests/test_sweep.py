@@ -120,9 +120,10 @@ def test_support_is_the_bits_of_the_variables_below(circuits, request):
                 assert all(below) and node.supp == sum(below), node
 
 
-def test_support_grows_with_the_variables_in_use():
+def test_support_and_patterns_grow_with_the_variables_in_use():
     # adder n=8 after 40,000 declared qubits that no gate touches: its
-    # carries need 15 support bits, not gid-many
+    # carries need 15 support bits, not gid-many (the sweep patterns that
+    # grew alongside them are gone with the sweep)
     big = "borrow@ r[20000];\nalloc z[20000];\n"
     c = elaborate_source(big + adder_source(8) + "release r;\nrelease z;\n")
     state = track(c)
