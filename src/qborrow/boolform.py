@@ -12,11 +12,14 @@ cond_restore_plus cofactors only the cone of q, the nodes whose support (the
 variables below them) holds q; an output without q in its support cannot
 depend on q.
 
-Expressions are hash-consed into a DAG with canonical constructors, so
-structural equality is node identity and the x XOR x = 0 cancellation that
-keeps benchmark formulas small happens automatically.  XOR also factors
-common conjuncts, S AND A XOR S AND B -> S AND (A XOR B), so a borrowed
-carry that two terms thread through cancels while the circuit is tracked.
+Expressions are hash-consed into a DAG: the constructors sort, dedupe and
+fold their arguments, so equal terms built alike are one node and the
+x XOR x = 0 cancellation that keeps benchmark formulas small happens
+automatically.  XOR also factors common conjuncts, S AND A XOR S AND B ->
+S AND (A XOR B), so a borrowed carry that two terms thread through cancels
+while the circuit is tracked.  AND flattens only narrow AND children
+(_FLATTEN_MAX_ARGS), so equal products nested differently can be distinct
+nodes that these rules miss; the solver still decides them.
 """
 
 from dataclasses import dataclass
@@ -104,7 +107,7 @@ def _terms(xs: Iterable[BoolExpr], out: list[BoolExpr]) -> int:
 
 
 class BoolStore:
-    """Append-only intern table; all constructors return canonical nodes."""
+    """Append-only intern table; the constructors below return interned nodes."""
 
     def __init__(self):
         # one table per op, keyed by the args tuple the node keeps (by the
@@ -185,45 +188,58 @@ class BoolStore:
         parity = _terms(children, pending)
         # the smallest key first, so the form does not depend on the order of
         # `children`.  No two kept terms share a conjunct: `holder` maps a
-        # conjunct to the last term kept with it, and a term that shares one
-        # with a kept term is factored with it
+        # conjunct to the last term kept with it, and a term x that shares
+        # some with a kept term y is factored with it, S AND A XOR S AND B ->
+        # S AND (A XOR B).  A XOR B may factor in turn (two chains of carries
+        # do at every link), so this xor waits on `stack` with its S while
+        # that one is built, and no chain deepens the Python stack
         pending.sort(key=_sort_key, reverse=True)
         kept: set[BoolExpr] = set()
         holder: dict[BoolExpr, BoolExpr] = {}
-        while pending:
-            x = pending.pop()
-            if x in kept:  # x XOR x = 0
-                kept.remove(x)
-                continue
-            conj = x.args if x.op == "and" else (x,)
-            for c in conj:
-                y = holder.get(c)
-                if y is not None and y in kept:
-                    kept.remove(y)
-                    parity ^= _terms([self._factor(y, x)], pending)
-                    break
-            else:
-                kept.add(x)
+        stack: list[tuple] = []
+        while True:
+            while pending:
+                x = pending.pop()
+                if x in kept:  # x XOR x = 0
+                    kept.remove(x)
+                    continue
+                conj = x.args if x.op == "and" else (x,)
                 for c in conj:
-                    holder[c] = x
+                    y = holder.get(c)
+                    if y is not None and y in kept:
+                        break
+                else:
+                    kept.add(x)
+                    for c in conj:
+                        holder[c] = x
+                    continue
+                kept.remove(y)
+                shared, a, b = self._split(y, x)
+                stack.append((pending, kept, holder, parity, shared))
+                pending, kept, holder = [], set(), {}
+                parity = _terms([a, b], pending)
+                pending.sort(key=_sort_key, reverse=True)
 
-        if not kept:
-            base = self.false
-        elif len(kept) == 1:
-            (base,) = kept
-        else:
-            base = self._intern("xor", tuple(sorted(kept, key=_sort_key)), None)
-        return self.not_(base) if parity else base
+            if not kept:
+                base = self.false
+            elif len(kept) == 1:
+                (base,) = kept
+            else:
+                base = self._intern("xor", tuple(sorted(kept, key=_sort_key)), None)
+            result = self.not_(base) if parity else base
+            if not stack:
+                return result
+            pending, kept, holder, parity, shared = stack.pop()
+            parity ^= _terms([self.and_(shared + [result])], pending)
 
-    def _factor(self, x: BoolExpr, y: BoolExpr) -> BoolExpr:
-        """x XOR y as S AND (A XOR B), for S the conjuncts they share."""
+    def _split(self, x: BoolExpr, y: BoolExpr) -> tuple[list[BoolExpr], BoolExpr, BoolExpr]:
+        """S, A and B for x = S AND A and y = S AND B, S the conjuncts they share."""
         cx = x.args if x.op == "and" else (x,)
         cy = y.args if y.op == "and" else (y,)
         in_x, in_y = set(cx), set(cy)
-        shared = [c for c in cx if c in in_y]
         a = self.and_([c for c in cx if c not in in_y])
         b = self.and_([c for c in cy if c not in in_x])
-        return self.and_(shared + [self.xor([a, b])])
+        return [c for c in cx if c in in_y], a, b
 
     def or_(self, children: Iterable[BoolExpr]) -> BoolExpr:
         return self.not_(self.and_([self.not_(c) for c in children]))
@@ -245,7 +261,7 @@ class BoolStore:
         return out
 
     def _rebuild(self, node: BoolExpr, new_args: list[BoolExpr]) -> BoolExpr:
-        """`node` with its children replaced, through the canonical constructors."""
+        """`node` with its children replaced, through the constructors."""
         if all(n is o for n, o in zip(new_args, node.args)):
             return node
         if node.op == "not":
@@ -392,26 +408,28 @@ def init_state(c: FlatCircuit) -> FormulaState:
     return FormulaState(store, formulas)
 
 
-def _step(value: list[BoolExpr], g: McxGate, store: BoolStore) -> None:
-    # `value` is indexed by gid: a QubitId hashes through Python code.  X has
-    # no controls: its conjunction is `true`, and the xor negates
-    conj = store.and_([value[c.gid] for c in g.controls])
-    value[g.target.gid] = store.xor([value[g.target.gid], conj])
+def _run(value, gates: Iterable[McxGate], store: BoolStore) -> None:
+    """Step `gates` over formulas indexed by gid, in a list or a dict: a
+    QubitId hashes through Python code.  X has no controls: its
+    conjunction is `true`, and the xor negates."""
+    for g in gates:
+        conj = store.and_([value[c.gid] for c in g.controls])
+        t = g.target.gid
+        value[t] = store.xor([value[t], conj])
 
 
 def apply_gate(s: FormulaState, g: McxGate) -> FormulaState:
     """One gate step; returns a new state, the input is left untouched."""
-    value = list(s.formulas.values())  # init_state keys them in gid order
-    _step(value, g, s.store)
-    return FormulaState(s.store, dict(zip(s.formulas, value)))
+    value = {q.gid: b for q, b in s.formulas.items()}
+    _run(value, [g], s.store)
+    return FormulaState(s.store, {q: value[q.gid] for q in s.formulas})
 
 
 def track(c: FlatCircuit) -> FormulaState:
     """Fold apply_gate over the whole gate list starting from init_state."""
     state = init_state(c)
-    value = list(state.formulas.values())
-    for g in c.gates:
-        _step(value, g, state.store)
+    value = list(state.formulas.values())  # init_state keys them in gid order
+    _run(value, c.gates, state.store)
     return FormulaState(state.store, dict(zip(c.qubits, value)))
 
 

@@ -117,10 +117,12 @@ class FlatCircuit:
 
     def verify_qubits(self) -> list[QubitId]:
         """Dirty qubits whose safe uncomputation must be proven."""
-        return [q for q, r in zip(self.qubits, self.roles) if r is QubitRole.BORROW_VERIFY]
+        role = QubitRole.BORROW_VERIFY  # an Enum member lookup is slow; once per call
+        return [q for q, r in zip(self.qubits, self.roles) if r is role]
 
     def skipped_qubits(self) -> list[QubitId]:
-        return [q for q, r in zip(self.qubits, self.roles) if r is QubitRole.BORROW_SKIP]
+        role = QubitRole.BORROW_SKIP
+        return [q for q, r in zip(self.qubits, self.roles) if r is role]
 
     def register(self, name: str) -> RegisterInfo:
         for r in self.registers:

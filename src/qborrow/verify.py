@@ -103,7 +103,7 @@ def report_exit_code(report: Report) -> int:
 # deciding one condition
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decision:
     """The outcome of one condition: sat, unsat, or unknown with the reason
     of the ResourceLimit that ended it."""
@@ -119,10 +119,17 @@ def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
+# `false`, what most conditions fold to while they are built, with the sizes
+# of its Tseitin encoding: no variable and the empty clause
+_FALSE = Decision("unsat", cnf_vars=0, cnf_clauses=1)
+
+
 def _decide_internal(e: BoolExpr, encoded, budget_conflicts: int, budget_seconds: float) -> Decision:
     """Decide `e`, reusing its Tseitin encoding `(cnf, root)` when given.
     A constant is decided by its encoding alone: the empty clause or the
-    empty CNF."""
+    empty CNF; `false` needs no encoding made."""
+    if e.op == "false":
+        return _FALSE
     cnf, root = encoded or tseitin(e)
     sizes = {"cnf_vars": cnf.n_vars, "cnf_clauses": len(cnf.clauses)}
     if root is None:
@@ -253,7 +260,7 @@ def _verdict(circuit: FlatCircuit, q: QubitId, state, write, decide) -> Verdict:
         except ResourceLimit as exc:
             d = Decision("unknown", budget=exc.reason)
         v.solve_ms += _ms_since(t0)
-        v.formula_nodes += count_nodes(e)
+        v.formula_nodes += count_nodes(e) if e.args else 1
         v.cnf_vars += d.cnf_vars
         v.cnf_clauses += d.cnf_clauses
         if d.status == "sat":
@@ -324,7 +331,7 @@ def verify_circuit(
         _verdict(circuit, q, state, write if emitting else None, decide)
         for q in circuit.verify_qubits()
     ]
-    verdicts.extend(Verdict(q.label, "skipped") for q in circuit.skipped_qubits())
+    verdicts += [Verdict(q.label, "skipped") for q in circuit.skipped_qubits()]
 
     total_ms = _ms_since(t_start)
     config = {

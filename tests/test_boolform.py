@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from qborrow import (
     variables,
 )
 from qborrow.benchgen import mcx_source
-from qborrow.elaborator import QubitId
+from qborrow.boolform import FormulaState
+from qborrow.elaborator import QubitId, apply_classical
 from qborrow.errors import ResourceLimit
 
 from conftest import ring_source, store_nodes
@@ -110,10 +113,9 @@ def test_or_via_de_morgan():
 
 
 def test_complementary_factor_elimination():
-    # A xor over two conjunctions that differ only in one complemented
-    # factor collapses to the shared factors
+    # S AND A XOR S AND B -> S AND (A XOR B); with B = NOT A it leaves S
     s = BoolStore()
-    q1, q2, q3 = (s.var(V[i]) for i in range(3))
+    q1, q2, q3, q4 = (s.var(V[i]) for i in range(4))
     inner = s.and_([q1, q2])
     e = s.xor([s.and_([q1, q2, q3]), s.and_([q3, s.not_(inner)])])
     assert e is q3
@@ -122,19 +124,42 @@ def test_complementary_factor_elimination():
     assert s.xor([s.and_([q1, t]), s.and_([q1, s.not_(t)])]) is q1
     shared = s.and_([q1, q3])
     assert s.xor([s.and_([shared, q2]), s.and_([shared, s.not_(q2)])]) is shared
-
-
-def test_common_conjuncts_are_factored():
-    # S AND A XOR S AND B -> S AND (A XOR B), whichever order the terms come in
-    s = BoolStore()
-    a, b, c, d = (s.var(V[i]) for i in range(4))
-    e = s.xor([s.and_([a, b, c]), s.and_([a, b, d])])
-    assert e is s.and_([a, b, s.xor([c, d])])
-    assert s.xor([s.and_([a, b, d]), s.and_([c, b, a])]) is e
+    # any common conjuncts, whichever order the terms come in
+    e = s.xor([s.and_([q1, q2, q3]), s.and_([q1, q2, q4])])
+    assert e is s.and_([q1, q2, s.xor([q3, q4])])
+    assert s.xor([s.and_([q1, q2, q4]), s.and_([q3, q2, q1])]) is e
     # a term that is itself the shared conjunct: S XOR S AND B -> S AND NOT B
-    assert s.xor([a, s.and_([a, b])]) is s.and_([a, s.not_(b)])
+    assert s.xor([q1, s.and_([q1, q2])]) is s.and_([q1, s.not_(q2)])
     # the folded product cancels against a third term
-    assert s.xor([s.and_([a, c]), s.and_([a, d]), s.and_([a, s.xor([c, d])])]) is s.false
+    three = [s.and_([q1, q3]), s.and_([q1, q4]), s.and_([q1, s.xor([q3, q4])])]
+    assert s.xor(three) is s.false
+
+
+def test_factoring_deeper_than_the_recursion_limit():
+    # T_k = t_k XOR s_k AND T_(k-1) and U_k likewise share s_k at every
+    # link, so T_K XOR U_K factors once per link
+    k = sys.getrecursionlimit() + 100
+    c = elaborate_source(
+        f"""
+        let K = {k};
+        borrow t[K + 1];
+        borrow u[K + 1];
+        borrow s[K];
+        for i = 1 to K {{
+            CCNOT[t[i], s[i], t[i + 1]];
+            CCNOT[u[i], s[i], u[i + 1]];
+        }}
+        CNOT[t[K + 1], u[K + 1]];
+        """
+    )
+    state = track(c)
+    out = c.qubits[2 * k + 1]
+    assert out.label == f"u.{k + 1}"
+    rng = random.Random(7)
+    for _ in range(8):
+        bits = [rng.getrandbits(1) for _ in c.qubits]
+        env = {q: bool(b) for q, b in zip(c.qubits, bits)}
+        assert evaluate(state[out], env) == bool(apply_classical(c, tuple(bits))[out.gid])
 
 
 def test_mcx_tracking_keeps_products_narrow():
@@ -396,6 +421,20 @@ def test_apply_gate_is_pure():
     d = c.qubit("d")
     assert s0[d] is s0.store.var(d)
     assert s1[d] is not s0[d]
+
+
+def test_apply_gate_reads_formulas_by_qubit():
+    # a state keyed in another order, or without the idle qubits, steps alike
+    c = elaborate_source("borrow a;\nborrow b;\nborrow t;\nborrow idle;\nCCNOT[a, b, t];")
+    s0 = init_state(c)
+    (g,) = c.gates
+    kept = [(q, f) for q, f in reversed(s0.formulas.items()) if q.label != "idle"]
+    s1 = apply_gate(FormulaState(s0.store, dict(kept)), g)
+    assert list(s1.formulas) == [q for q, _ in kept]
+    tracked = track(c)
+    assert {q: to_prefix(f) for q, f in s1.formulas.items()} == {
+        q: to_prefix(tracked[q]) for q, _ in kept
+    }
 
 
 # --------------------------------------------------------------------------

@@ -79,14 +79,20 @@ def test_cond2_is_built_only_when_decided_or_written(monkeypatch, tmp_path, emit
 @pytest.mark.parametrize("emit, calls", [(False, 17), (True, 18)])
 def test_each_condition_is_encoded_once(monkeypatch, tmp_path, emit, calls):
     # adder n=10 without gate 1: 17 decided conditions, and one cond2 that
-    # is only written; the .cnf writer and the solver share one encoding
-    original, encoded = verify.tseitin, []
+    # is only written; the .cnf writer and the solver share one encoding,
+    # and a condition that folds to false needs one only to be written
+    original, encoded, built = verify.tseitin, [], []
     monkeypatch.setattr(verify, "tseitin", lambda e: encoded.append(e) or original(e))
+    for name in ("cond_restore_zero", "cond_restore_plus"):
+        build = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda q, s, b=build: built.append(b(q, s)) or built[-1])
     path = tmp_path / "mutant.qbr"
     path.write_text(mutant_sources(adder_source(10))[1])
     args = ["verify", str(path)] + (["--emit-dimacs", str(tmp_path / "d")] if emit else [])
     assert main(args) == EXIT_UNSAFE
-    assert len(encoded) == calls
+    assert len(built) == calls
+    folded = [e for e in built if e.op == "false"]
+    assert folded and len(encoded) == calls - (0 if emit else len(folded))
     formulas = [e for e in encoded if e.args]  # every constant is one node
     assert formulas and len(set(formulas)) == len(formulas)
 
