@@ -23,18 +23,17 @@ from pathlib import Path
 
 from . import __version__
 from .benchgen import generate
-from .elaborator import FlatCircuit, elaborate_source
+from .elaborator import elaborate_source
 from .errors import QborrowError, ResourceLimit, SelfCheckError, SourceError
 from .satcore import DEFAULT_BUDGET_CONFLICTS, DEFAULT_BUDGET_SECONDS
 from .verify import (
-    EXHAUSTIVE_CAP,
     EXIT_DISAGREE,
     EXIT_ERROR,
     EXIT_SAFE,
     EXIT_UNKNOWN,
     EXIT_UNSAFE,
     Report,
-    exact_safe,
+    cross_check,
     report_exit_code,
     verify_circuit,
 )
@@ -44,34 +43,6 @@ from .verify import (
 from .boolform import track  # noqa: F401
 from .satcore import solve  # noqa: F401
 from .verify import witness_violates  # noqa: F401
-
-
-def cross_check(circuit: FlatCircuit, report: Report) -> bool:
-    """Compare every decided verdict against exhaustive enumeration.
-
-    Returns False (and explains on stderr) on any disagreement."""
-    if circuit.n_qubits > EXHAUSTIVE_CAP:
-        print(
-            f"warning: oracle cross-check skipped ({circuit.n_qubits} qubits "
-            f"exceed the cap of {EXHAUSTIVE_CAP})",
-            file=sys.stderr,
-        )
-        return True
-    by_label = {q.label: q for q in circuit.qubits}
-    ok = True
-    for v in report.verdicts:
-        if v.status in ("skipped", "unknown"):
-            continue
-        q = by_label[v.qubit]
-        safe = not exact_safe(circuit, q)
-        if safe != (v.status == "safe"):
-            print(
-                f"oracle disagreement on {v.qubit}: solver says {v.status}, "
-                f"enumeration says {'safe' if safe else 'unsafe'}",
-                file=sys.stderr,
-            )
-            ok = False
-    return ok
 
 
 # ---------------------------------------------------------------------------

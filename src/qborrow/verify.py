@@ -1,18 +1,22 @@
 """Verification driver: decide the safety of every borrowed qubit.
 
-For each borrow-verified qubit of an elaborated circuit, build cond1 and
-then cond2 from the tracked formulas and decide them, with the internal CDCL
-solver or an external SMT-LIB2 solver.  The first satisfiable condition means
-Unsafe, and cond2 is then built only to be emitted; both unsatisfiable means
-Safe; a budget that runs out means Unknown.
+For each borrow-verified qubit of an elaborated circuit, `verify_circuit`
+takes cond1 and then cond2 down one path: build it from the tracked
+formulas, write it when an emit directory is given, decide it with the
+internal CDCL solver or an external SMT-LIB2 solver, and fold the outcome
+into the qubit's `Verdict`.  The first satisfiable condition means Unsafe,
+and cond2 is then built only to be written; both unsatisfiable means Safe; a
+budget that runs out means Unknown.  `cross_check` compares the decided
+verdicts with exhaustive enumeration (`exact_safe`), for `--oracle`.
 """
 
 import json
 import math
 import os
+import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -52,17 +56,7 @@ class Verdict:
     cnf_clauses: int = 0
 
     def to_dict(self):
-        return {
-            "qubit": self.qubit,
-            "status": self.status,
-            "violated": self.violated,
-            "witness": self.witness,
-            "budget": self.budget,
-            "solve_ms": round(self.solve_ms, 3),
-            "formula_nodes": self.formula_nodes,
-            "cnf_vars": self.cnf_vars,
-            "cnf_clauses": self.cnf_clauses,
-        }
+        return asdict(self) | {"solve_ms": round(self.solve_ms, 3)}
 
 
 @dataclass
@@ -99,50 +93,19 @@ def report_exit_code(report: Report) -> int:
     return EXIT_SAFE
 
 
-# ---------------------------------------------------------------------------
-# deciding one condition
-
-
-@dataclass(frozen=True)
-class Decision:
-    """The outcome of one condition: sat, unsat, or unknown with the reason
-    of the ResourceLimit that ended it."""
-
-    status: str  # sat | unsat | unknown
-    witness: dict[str, bool] | None = None  # internal sat answers only
-    budget: str | None = None
-    cnf_vars: int = 0
-    cnf_clauses: int = 0
-
-
 def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
-# `false`, what most conditions fold to while they are built, with the sizes
-# of its Tseitin encoding: no variable and the empty clause
-_FALSE = Decision("unsat", cnf_vars=0, cnf_clauses=1)
+# ---------------------------------------------------------------------------
+# external solvers
 
 
-def _decide_internal(e: BoolExpr, encoded, budget_conflicts: int, budget_seconds: float) -> Decision:
-    """Decide `e`, reusing its Tseitin encoding `(cnf, root)` when given.
-    A constant is decided by its encoding alone: the empty clause or the
-    empty CNF; `false` needs no encoding made."""
-    if e.op == "false":
-        return _FALSE
-    cnf, root = encoded or tseitin(e)
-    sizes = {"cnf_vars": cnf.n_vars, "cnf_clauses": len(cnf.clauses)}
-    if root is None:
-        return Decision("unsat", **sizes) if cnf.clauses else Decision("sat", {}, **sizes)
-    res = solve(cnf, root, budget_conflicts=budget_conflicts, budget_seconds=budget_seconds)
-    witness = {q.label: v for q, v in res.model.items()} if res.is_sat else None
-    return Decision(res.status, witness, **sizes)
-
-
-def _run_solver(argv: list[str], budget_seconds: float) -> Decision:
-    """Run an external solver; it must print a line that is exactly `sat`
-    or `unsat`.  It runs in its own process group, which is killed whole
-    when the time budget runs out, so a wrapper script leaves no child."""
+def _run_solver(argv: list[str], budget_seconds: float) -> str:
+    """Run an external solver; returns the first line it prints that is
+    exactly `sat` or `unsat`.  It runs in its own process group, which is
+    killed whole when the time budget runs out, so a wrapper script leaves
+    no child."""
     import signal
     import subprocess  # only cmd: solvers need these two
 
@@ -169,13 +132,13 @@ def _run_solver(argv: list[str], budget_seconds: float) -> Decision:
     # match whole lines: "unsat" contains "sat" as a substring
     for line in stdout.splitlines():
         if line.strip() in ("sat", "unsat"):
-            return Decision(line.strip())
+            return line.strip()
     raise ResourceLimit("output", "solver printed no line that is exactly sat or unsat")
 
 
 def _decide_external(
     e: BoolExpr, cmd: list[str], budget_seconds: float, script_path: Path | None
-) -> Decision:
+) -> str:
     """Decide with an external solver on an emitted script.  Without a
     script path the script goes to a temporary file, removed afterwards."""
     if script_path is not None:
@@ -187,10 +150,6 @@ def _decide_external(
         return _run_solver(cmd + [tmp.name], budget_seconds)
     finally:
         os.unlink(tmp.name)
-
-
-# ---------------------------------------------------------------------------
-# the driver
 
 
 def _violations(c: FlatCircuit, q: QubitId, columns, m: int) -> tuple[int, int]:
@@ -240,36 +199,36 @@ def exact_safe(c: FlatCircuit, q: QubitId) -> int:
     return cond1 | cond2
 
 
-def _verdict(circuit: FlatCircuit, q: QubitId, state, write, decide) -> Verdict:
-    """Build, write (when `write` is given) and decide cond1, then cond2.
-    The first sat condition settles the verdict; cond2 is then built only
-    to be written.  The stats sum over the decided conditions."""
-    v = Verdict(q.label, "safe")
-    # the builders are looked up per call, so wrappers set on this module see them
-    for name, build in (("cond1", cond_restore_zero), ("cond2", cond_restore_plus)):
-        if v.status == "unsafe":  # settled by cond1
-            if write is not None:
-                write(build(q, state), q, name)
-            break
-        e = build(q, state)
-        written = write(e, q, name) if write is not None else (None, None)
-        t0 = time.perf_counter()
-        # Unknown only when deciding; a size cap met building or writing ends the run
-        try:
-            d = decide(e, written)
-        except ResourceLimit as exc:
-            d = Decision("unknown", budget=exc.reason)
-        v.solve_ms += _ms_since(t0)
-        v.formula_nodes += count_nodes(e) if e.args else 1
-        v.cnf_vars += d.cnf_vars
-        v.cnf_clauses += d.cnf_clauses
-        if d.status == "sat":
-            if d.witness is not None and not witness_violates(circuit, q, d.witness, name):
-                raise SelfCheckError(f"{q.label}: {name} witness {d.witness} does not replay")
-            v.status, v.violated, v.witness, v.budget = "unsafe", name, d.witness, None
-        elif d.status == "unknown" and v.status == "safe":
-            v.status, v.budget = "unknown", d.budget
-    return v
+def cross_check(circuit: FlatCircuit, report: Report) -> bool:
+    """Compare every decided verdict against exhaustive enumeration.
+
+    Returns False (and explains on stderr) on any disagreement."""
+    if circuit.n_qubits > EXHAUSTIVE_CAP:
+        print(
+            f"warning: oracle cross-check skipped ({circuit.n_qubits} qubits "
+            f"exceed the cap of {EXHAUSTIVE_CAP})",
+            file=sys.stderr,
+        )
+        return True
+    by_label = {q.label: q for q in circuit.qubits}
+    ok = True
+    for v in report.verdicts:
+        if v.status in ("skipped", "unknown"):
+            continue
+        q = by_label[v.qubit]
+        safe = not exact_safe(circuit, q)
+        if safe != (v.status == "safe"):
+            print(
+                f"oracle disagreement on {v.qubit}: solver says {v.status}, "
+                f"enumeration says {'safe' if safe else 'unsafe'}",
+                file=sys.stderr,
+            )
+            ok = False
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# the driver
 
 
 def verify_circuit(
@@ -282,7 +241,8 @@ def verify_circuit(
     budget_conflicts: int = DEFAULT_BUDGET_CONFLICTS,
     budget_seconds: float = DEFAULT_BUDGET_SECONDS,
 ) -> Report:
-    """Decide safety of every borrow-verified qubit of an elaborated circuit."""
+    """Decide safety of every borrow-verified qubit of an elaborated circuit:
+    build, write (given an emit directory) and decide cond1, then cond2."""
     t_start = time.perf_counter()
     external = None
     if solver.startswith("cmd:"):
@@ -302,35 +262,67 @@ def verify_circuit(
         raise UsageError(f"conflict budget must be >= 0, got {budget_conflicts}")
 
     state = track(circuit)
-    stem = Path(program).stem if program != "<memory>" else "circuit"
-    for d in (emit_dimacs_dir, emit_smtlib_dir):
-        if d is not None:
-            Path(d).mkdir(parents=True, exist_ok=True)
-
-    def write(e: BoolExpr, q: QubitId, name: str) -> tuple:
-        """Write one condition's files; returns the Tseitin encoding made for
-        the `.cnf` file and the SMT-LIB2 script path, each None if unwritten."""
-        base = f"{stem}.{q.label}.{name}"
-        encoded = path = None
-        if emit_dimacs_dir is not None:
-            encoded = tseitin(e)
-            (Path(emit_dimacs_dir) / f"{base}.cnf").write_text(emit_dimacs(*encoded))
-        if emit_smtlib_dir is not None:
-            path = Path(emit_smtlib_dir) / f"{base}.smt2"
-            path.write_text(emit_smtlib(e))
-        return encoded, path
-
-    def decide(e: BoolExpr, written: tuple) -> Decision:
-        encoded, script = written
-        if external is None:
-            return _decide_internal(e, encoded, budget_conflicts, budget_seconds)
-        return _decide_external(e, external, budget_seconds, script)
-
     emitting = emit_dimacs_dir is not None or emit_smtlib_dir is not None
-    verdicts = [
-        _verdict(circuit, q, state, write if emitting else None, decide)
-        for q in circuit.verify_qubits()
-    ]
+    if emitting:
+        stem = Path(program).stem if program != "<memory>" else "circuit"
+        dimacs_dir, smtlib_dir = (
+            None if d is None else Path(d) for d in (emit_dimacs_dir, emit_smtlib_dir)
+        )
+        for d in (dimacs_dir, smtlib_dir):
+            if d is not None:
+                d.mkdir(parents=True, exist_ok=True)
+    verdicts = []
+    for q in circuit.verify_qubits():
+        v = Verdict(q.label, "safe")
+        # the layers are looked up per call, so wrappers set on this module see them
+        for name, build in (("cond1", cond_restore_zero), ("cond2", cond_restore_plus)):
+            if v.status == "unsafe" and not emitting:  # settled by cond1
+                break
+            e = build(q, state)
+            encoded = script = None  # the Tseitin encoding and .smt2 file written
+            if emitting:
+                base = f"{stem}.{q.label}.{name}"
+                if dimacs_dir is not None:
+                    encoded = tseitin(e)
+                    (dimacs_dir / f"{base}.cnf").write_text(emit_dimacs(*encoded))
+                if smtlib_dir is not None:
+                    script = smtlib_dir / f"{base}.smt2"
+                    script.write_text(emit_smtlib(e))
+            if v.status == "unsafe":  # cond2 was built only to be written
+                break
+            t0 = time.perf_counter()
+            witness = None  # internal sat answers only
+            # Unknown only when deciding; a size cap met building or writing
+            # ends the run.  The sizes count the CNF a solve was given, even
+            # one whose budget ran out.
+            try:
+                if external is not None:
+                    status = _decide_external(e, external, budget_seconds, script)
+                elif e.op == "false":  # what most conditions fold to: the empty clause
+                    status = "unsat"
+                    v.cnf_clauses += 1
+                else:
+                    cnf, root = encoded or tseitin(e)
+                    v.cnf_vars += cnf.n_vars
+                    v.cnf_clauses += len(cnf.clauses)
+                    if root is None:  # `true`: the empty CNF
+                        status, witness = "sat", {}
+                    else:
+                        res = solve(cnf, root, budget_conflicts, budget_seconds)
+                        status = res.status
+                        if res.is_sat:
+                            witness = {x.label: b for x, b in res.model.items()}
+            except ResourceLimit as exc:
+                status, reason = "unknown", exc.reason
+            v.solve_ms += _ms_since(t0)
+            v.formula_nodes += count_nodes(e) if e.args else 1
+            if status == "sat":
+                if witness is not None and not witness_violates(circuit, q, witness, name):
+                    raise SelfCheckError(f"{q.label}: {name} witness {witness} does not replay")
+                v.status, v.violated, v.witness, v.budget = "unsafe", name, witness, None
+            elif status == "unknown" and v.status == "safe":
+                v.status, v.budget = "unknown", reason
+        verdicts.append(v)
     verdicts += [Verdict(q.label, "skipped") for q in circuit.skipped_qubits()]
 
     total_ms = _ms_since(t_start)

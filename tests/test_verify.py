@@ -30,10 +30,15 @@ def verdict(report, label):
 
 def test_conflict_budget_gives_unknown():
     # ring k=4: `a` is Safe, but a condition of it needs search, which one
-    # conflict ends
+    # conflict ends; the sizes still count the CNF that solve was given
     c = elaborate_source(ring_source(4))
     v = verdict(verify_circuit(c, budget_conflicts=1), "a")
     assert (v.status, v.budget, v.violated) == ("unknown", "conflicts", None)
+    full = verdict(verify_circuit(c), "a")
+    assert (v.cnf_vars, v.cnf_clauses) == (full.cnf_vars, full.cnf_clauses) == (79, 272)
+    for k, sizes in ((3, (51, 166)), (5, (115, 408))):
+        v = verdict(verify_circuit(elaborate_source(ring_source(k)), budget_conflicts=1), "a")
+        assert (v.status, v.cnf_vars, v.cnf_clauses) == ("unknown", *sizes)
 
 
 def test_clause_cap_gives_unknown(monkeypatch):
@@ -109,6 +114,39 @@ def test_constant_conditions_are_decided_without_search(monkeypatch):
     v = verdict(verify_circuit(c), "a")
     assert (v.status, v.violated, v.witness) == ("unsafe", "cond2", {})
     assert (v.cnf_vars, v.cnf_clauses) == tuple(map(sum, zip(*sizes))) == (0, 1)
+
+
+def test_without_an_emit_directory_no_path_is_made(monkeypatch, tmp_path):
+    def no_path(*args):
+        raise AssertionError("a Path was made")
+
+    monkeypatch.setattr(verify, "Path", no_path)
+    monkeypatch.chdir(tmp_path)
+    report = verify_circuit(elaborate_source(LEAKY_CCCNOT_SRC), program="leaky.qbr")
+    assert verdict(report, "a").status == "unsafe"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_driver_reaches_each_layer_through_its_module_attribute(monkeypatch):
+    # a layer called through a reference captured earlier would escape a
+    # wrapper set on the module, and its time would count as the driver's
+    layers = ["track", "cond_restore_zero", "cond_restore_plus", "count_nodes", "tseitin"]
+    layers += ["solve", "witness_violates"]
+    calls = []
+    for name in layers:
+
+        def counted(*args, name=name, layer=getattr(verify, name), **kwargs):
+            calls.append(name)
+            return layer(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    # leaky with q4 ^= q1 first: cond1 of a folds to false, and cond2 is
+    # q4 xor q1 (on leaky itself the leaf q4, which needs no node count),
+    # solved sat and replayed
+    src = LEAKY_CCCNOT_SRC.replace("CCNOT[a, q4", "CNOT[q1, q4];\nCCNOT[a, q4")
+    v = verdict(verify_circuit(elaborate_source(src)), "a")
+    assert (v.status, v.violated) == ("unsafe", "cond2")
+    assert sorted(calls) == sorted(layers)  # one call each
 
 
 def test_external_solver_reads_the_emitted_scripts(monkeypatch, tmp_path):
