@@ -9,12 +9,13 @@ the unsatisfiability of two conditions built here:
   * cond_restore_plus: some other qubit's final value depends on q.
 
 cond_restore_plus cofactors only the cone of q, the nodes whose support (the
-variables below them) holds q; an output without q in its support cannot
-depend on q.
+variables below them, which the store computes as it interns each node)
+holds q; an output without q in its support cannot depend on q.
 
-Expressions are hash-consed into a DAG: the constructors sort, dedupe and
-fold their arguments, so equal terms built alike are one node and the
-x XOR x = 0 cancellation that keeps benchmark formulas small happens
+Expressions are hash-consed into a DAG: the constructors dedupe and fold
+their arguments, and AND and XOR keep theirs in creation order (the serial
+each node gets from its store), so equal terms built alike are one node and
+the x XOR x = 0 cancellation that keeps benchmark formulas small happens
 automatically.  XOR also factors common conjuncts, S AND A XOR S AND B ->
 S AND (A XOR B), so a borrowed carry that two terms thread through cancels
 while the circuit is tracked.  AND flattens only narrow AND children
@@ -29,19 +30,6 @@ from typing import Callable, Iterable, Mapping
 from .elaborator import FlatCircuit, McxGate, QubitId, QubitRole
 from .errors import ResourceLimit
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = (1 << 64) - 1
-
-_SALT = {
-    "false": 0x9E3779B97F4A7C15,
-    "true": 0xC2B2AE3D27D4EB4F,
-    "var": 0x165667B19E3779F9,
-    "not": 0x27D4EB2F165667C5,
-    "and": 0x85EBCA77C2B2AE63,
-    "xor": 0xD6E8FEB86659FD93,
-}
-
 # AND flattens an AND child of at most this many args into its own; a wider
 # one stays one child, so a long chain of products is not copied at each step
 _FLATTEN_MAX_ARGS = 4
@@ -50,29 +38,18 @@ _FLATTEN_MAX_ARGS = 4
 MAX_NODES = 10_000_000
 
 
-def _fnv(s: str) -> int:
-    h = _FNV_OFFSET
-    for ch in s:
-        h = ((h ^ ord(ch)) * _FNV_PRIME) & _MASK
-    return h
-
-
 class BoolExpr:
     """One hash-consed DAG node; compare with `is` (interning guarantees it)."""
 
-    __slots__ = ("op", "args", "qubit", "shash", "serial", "supp")
+    __slots__ = ("op", "args", "qubit", "serial", "supp")
 
-    def __init__(self, op: str, args: tuple, qubit, shash: int, serial: int):
+    def __init__(self, op: str, args: tuple, qubit, serial: int, supp: int):
         self.op = op  # false | true | var | not | and | xor
-        self.args = args
+        self.args = args  # AND and XOR keep theirs in creation order
         self.qubit = qubit  # QubitId for var nodes, else None
-        self.shash = shash
-        self.serial = serial
-        # support: the bits (BoolStore._bit) of the variables below the node;
-        # a variable has 0 until the store gives it its bit
-        supp = 0
-        for a in args:
-            supp |= a.supp
+        self.serial = serial  # creation order in the store
+        # support: the bits (BoolStore._bit) of the variables below the node,
+        # computed by BoolStore._intern; a variable has 0 until it gets its bit
         self.supp = supp
 
     def __repr__(self):
@@ -84,9 +61,9 @@ class BoolExpr:
         return f"<{self.op} #{self.serial}, {len(self.args)} args>"
 
 
-# AND and XOR nodes keep their args in this order, so one set of args
+# AND and XOR nodes keep their args in creation order, so one set of args
 # interns to one node
-_sort_key = attrgetter("shash", "serial")
+_sort_key = attrgetter("serial")
 
 
 def _terms(xs: Iterable[BoolExpr], out: list[BoolExpr]) -> int:
@@ -112,7 +89,8 @@ class BoolStore:
     def __init__(self):
         # one table per op, keyed by the args tuple the node keeps (by the
         # qubit for a variable), so no key is allocated per node
-        self._table: dict[str, dict] = {op: {} for op in _SALT}
+        ops = ("false", "true", "var", "not", "and", "xor")
+        self._table: dict[str, dict] = {op: {} for op in ops}
         self._n_nodes = 0
         self._n_vars = 0  # support bits given so far
         self.false = self._intern("false", (), None)
@@ -126,15 +104,12 @@ class BoolStore:
             return node
         if self._n_nodes >= MAX_NODES:
             raise ResourceLimit("size", f"formula store exceeded the {MAX_NODES}-node cap")
-        if op == "var":
-            shash = (_SALT["var"] ^ _fnv(qubit.label)) & _MASK
-        else:
-            shash = _SALT[op]
-            for a in args:
-                if not a.supp and a.op == "var":  # its first use below a node
-                    self._bit(a)
-                shash = ((shash ^ a.shash) * _FNV_PRIME) & _MASK
-        node = BoolExpr(op, args, qubit, shash, self._n_nodes)
+        supp = 0
+        for a in args:
+            if not a.supp and a.op == "var":  # its first use below a node
+                self._bit(a)
+            supp |= a.supp
+        node = BoolExpr(op, args, qubit, self._n_nodes, supp)
         table[key] = node
         self._n_nodes += 1
         return node

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,43 @@ def test_canonical_forms_preserve_semantics(tree):
     for bits in itertools.product([False, True], repeat=6):
         env = dict(zip(vs, bits))
         assert evaluate(e, env) == naive_eval(tree, env)
+
+
+def reorder(tree, order):
+    """`tree` with every and/xor child list put in the order `order` gives."""
+    if tree[0] == "not":
+        return ("not", reorder(tree[1], order))
+    if tree[0] in ("and", "xor"):
+        return (tree[0], order([reorder(t, order) for t in tree[1]]))
+    return tree
+
+
+def assert_order_free(tree, rng):
+    """Built again in the same store with every and/xor child list reversed,
+    then shuffled, `tree` gives the same node."""
+    s = BoolStore()
+    e = build_expr(s, tree)
+    assert build_expr(s, reorder(tree, lambda kids: kids[::-1])) is e
+    assert build_expr(s, reorder(tree, lambda kids: rng.sample(kids, len(kids)))) is e
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_strategy(6), st.randoms(use_true_random=False))
+def test_a_node_does_not_depend_on_the_order_of_its_children(tree, rng):
+    assert_order_free(tree, rng)
+
+
+def test_an_order_that_is_not_total_is_caught(monkeypatch):
+    # children sorted by op alone keep the order they came in, and xor
+    # factors ab XOR ac XOR bc into bc XOR a(b XOR c) one way round and into
+    # ab XOR c(a XOR b) the other
+    monkeypatch.setattr(boolform, "_sort_key", attrgetter("op"))
+    a, b, c = (("var", v) for v in V[:3])
+    majority = ("xor", [("and", [a, b]), ("and", [a, c]), ("and", [b, c])])
+    with pytest.raises(AssertionError):
+        assert_order_free(majority, random.Random(0))
+    monkeypatch.undo()
+    assert_order_free(majority, random.Random(0))
 
 
 def test_evaluate_needs_every_variable():

@@ -6,13 +6,16 @@ benchmark programs unsat: every Safe verdict there rests on the rules of
 constructors and checks that each node they return computes its operation
 on their arguments: on every assignment of the variables involved when
 there are at most `EXHAUSTIVE_VARS`, otherwise on `PATTERNS` fixed-seed
-random patterns."""
+random patterns.  The benchmark programs and Hypothesis-drawn circuits
+are both checked."""
 
 import operator
 import random
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qborrow.benchgen import adder_source, mcx_source
 from qborrow.boolform import (
@@ -53,8 +56,7 @@ RULES = {
 }
 
 
-@pytest.fixture
-def checked_rules(monkeypatch):
+def install_checks(monkeypatch) -> list[str]:
     """Check every node `not_`, `and_` and `xor` return; counts the checks."""
     checks = []
 
@@ -77,6 +79,11 @@ def checked_rules(monkeypatch):
     for name, combine in RULES.items():
         wrap(name, combine)
     return checks
+
+
+@pytest.fixture
+def checked_rules(monkeypatch):
+    return install_checks(monkeypatch)
 
 
 def build_conditions(c) -> None:
@@ -110,6 +117,37 @@ def test_rewrites_compute_their_operation(programs, checked_rules, request):
     for c in circuits:
         build_conditions(c)
     assert {"not_", "and_", "xor"} <= set(checked_rules)
+
+
+@st.composite
+def circuits(draw) -> str:
+    """A program of up to 8 one-qubit registers, each borrow, borrow@ or
+    alloc, and up to 40 X, CNOT and CCNOT gates on them."""
+    roles = draw(st.lists(st.sampled_from(["borrow", "borrow@", "alloc"]), min_size=1, max_size=8))
+    n = len(roles)
+    gate = st.integers(1, min(3, n)).flatmap(
+        lambda k: st.permutations(range(n)).map(lambda p: p[:k])
+    )
+    lines = [f"{role} q{i};" for i, role in enumerate(roles)]
+    for ops in draw(st.lists(gate, max_size=40)):
+        lines.append(f"{('X', 'CNOT', 'CCNOT')[len(ops) - 1]}[{', '.join(f'q{i}' for i in ops)}];")
+    lines += [f"release q{i};" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_rewrites_compute_their_operation_on_random_circuits(source):
+    # both conditions of every borrowed qubit, borrow@ ones included
+    c = elaborate_source(source)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        checks = install_checks(monkeypatch)
+        state = track(c)
+        for q in c.verify_qubits() + c.skipped_qubits():
+            cond_restore_zero(q, state)
+            cond_restore_plus(q, state)
+    # each gate builds its product and its xor
+    assert len(checks) >= 2 * len(c.gates)
 
 
 def test_a_wrong_rule_is_caught(checked_rules, monkeypatch):

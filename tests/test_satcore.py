@@ -110,17 +110,17 @@ def test_tseitin_numbering_is_pinned():
     x = s.xor([shared, c])
     e = s.xor([s.and_([x, s.not_(shared)]), s.and_([c, d]), shared])
     assert to_prefix(e) == (
-        "xor(and(xor(x3, and(x1, x2)), not(and(x1, x2))), and(x3, x4), and(x1, x2))"
+        "xor(and(x1, x2), and(xor(x3, and(x1, x2)), not(and(x1, x2))), and(x3, x4))"
     )
     cnf, root = tseitin(e)
     assert cnf.var_map == {V[0]: 1, V[1]: 2, V[2]: 3, V[3]: 4}
     assert (cnf.n_vars, root) == (10, 10)
     assert cnf.clauses == [
-        [-5, 1], [-5, 2], [5, -1, -2],
-        [-6, 3], [-6, 4], [6, -3, -4],
-        [-7, 3, 5], [-7, -3, -5], [7, -3, 5], [7, 3, -5],
-        [-8, 7], [-8, -5], [8, -7, 5],
-        [-9, 8, 6], [-9, -8, -6], [9, -8, 6], [9, 8, -6],
+        [-5, 3], [-5, 4], [5, -3, -4],
+        [-6, 1], [-6, 2], [6, -1, -2],
+        [-7, 3, 6], [-7, -3, -6], [7, -3, 6], [7, 3, -6],
+        [-8, 7], [-8, -6], [8, -7, 6],
+        [-9, 6, 8], [-9, -6, -8], [9, -6, 8], [9, 6, -8],
         [-10, 9, 5], [-10, -9, -5], [10, -9, 5], [10, 9, -5],
     ]
 

@@ -203,6 +203,8 @@ def test_failed_self_check_in_bench_exits_4(monkeypatch, capsys):
 def test_constant_below_the_root_fails_the_self_check():
     s = BoolStore()
     q = elaborate_source("borrow a;\n").qubits[0]
-    bad = BoolExpr("and", (s.var(q), s.true), None, 0, len(s))
+    v = s.var(q)
+    # the next serial and the support of its one variable, as the store gives them
+    bad = BoolExpr("and", (v, s.true), None, len(s), s._bit(v))
     with pytest.raises(SelfCheckError):
         satcore.tseitin(bad)
