@@ -3,21 +3,18 @@
 Subcommands:
   verify  -- parse, elaborate, and decide safety of every borrowed qubit
   gen     -- write one of the bundled benchmark programs at a given size
-  bench   -- generate + verify a size sweep and report solver-only timings
+  bench   -- generate + verify a size sweep and report each program's verify time
 
 Exit codes: 0 all verified qubits safe, 1 some unsafe, 2 usage/parse/
 elaboration error, a budget not finite or below 0, or an unwritable output
 path, 3 undecided (a budget or size cap ran out, or the solver gave no
 verdict), 4 a self-check failed (a witness that does not replay, a solver
 model that fails its check, or an oracle disagreement).
-Every flag can also be set via an environment variable with the QBORROW_
-prefix (e.g. QBORROW_SOLVER, QBORROW_BUDGET_SECONDS); flags win.  A malformed
-flag or variable value is a usage error.
+A malformed flag value is a usage error.
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -118,7 +115,7 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     rows = []
     worst = EXIT_SAFE
-    header = f"{'kind':<6} {'size':>6} {'qubits':>7} {'gates':>7} {'verdict':<10} {'solver_ms':>10}"
+    header = f"{'kind':<6} {'size':>6} {'qubits':>7} {'gates':>7} {'verdict':<10} {'verify_ms':>10}"
     print(header)
     print("-" * len(header))
     for size in args.sizes:
@@ -130,7 +127,6 @@ def cmd_bench(args) -> int:
             budget_conflicts=args.budget_conflicts,
             budget_seconds=args.budget_seconds,
         )
-        solver_ms = sum(v.solve_ms for v in report.verdicts)
         code = report_exit_code(report)
         verdict = {EXIT_SAFE: "all-safe", EXIT_UNSAFE: "unsafe", EXIT_UNKNOWN: "unknown"}[code]
         worst = max(worst, code)
@@ -141,12 +137,12 @@ def cmd_bench(args) -> int:
                 "qubits": report.n_qubits,
                 "gates": report.n_gates,
                 "verdict": verdict,
-                "solver_ms": round(solver_ms, 3),
+                "verify_ms": round(report.total_ms, 3),
             }
         )
         print(
             f"{args.kind:<6} {size:>6} {report.n_qubits:>7} {report.n_gates:>7} "
-            f"{verdict:<10} {solver_ms:>10.1f}"
+            f"{verdict:<10} {report.total_ms:>10.1f}"
         )
     if args.report:
         doc = {"version": __version__, "solver": args.solver, "rows": rows}
@@ -156,19 +152,6 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument plumbing
-
-
-def _env(name: str, fallback=None):
-    return os.environ.get("QBORROW_" + name, fallback)
-
-
-def _flag(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off", ""):
-        return False
-    raise argparse.ArgumentTypeError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
 
 
 def _size_list(text: str) -> list[int]:
@@ -186,52 +169,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qborrow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # QBORROW_* values go in as unconverted strings, so argparse converts them
-    # like the flags and a malformed one is a usage error
     def add_solver_opts(p):
         p.add_argument(
             "--solver",
-            default=_env("SOLVER", "internal"),
+            default="internal",
             help="internal (default) or cmd:<exe> for an external SMT solver",
         )
-        p.add_argument(
-            "--budget-conflicts",
-            type=int,
-            default=_env("BUDGET_CONFLICTS", DEFAULT_BUDGET_CONFLICTS),
-        )
-        p.add_argument(
-            "--budget-seconds",
-            type=float,
-            default=_env("BUDGET_SECONDS", DEFAULT_BUDGET_SECONDS),
-        )
-        p.add_argument(
-            "--report",
-            default=_env("REPORT"),
-            metavar="FILE",
-            help="write a JSON report to FILE",
-        )
+        p.add_argument("--budget-conflicts", type=int, default=DEFAULT_BUDGET_CONFLICTS)
+        p.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS)
+        p.add_argument("--report", metavar="FILE", help="write a JSON report to FILE")
 
     v = sub.add_parser("verify", help="verify all borrowed qubits of a program")
     v.add_argument("file")
     add_solver_opts(v)
-    v.add_argument("--emit-dimacs", default=_env("EMIT_DIMACS"), metavar="DIR")
-    v.add_argument("--emit-smtlib", default=_env("EMIT_SMTLIB"), metavar="DIR")
-    oracle = v.add_argument("--oracle", action="store_true", default=_env("ORACLE", ""))
-    oracle.type = _flag  # store_true takes no type=; this converts QBORROW_ORACLE
+    v.add_argument("--emit-dimacs", metavar="DIR")
+    v.add_argument("--emit-smtlib", metavar="DIR")
+    v.add_argument("--oracle", action="store_true")
 
     g = sub.add_parser("gen", help="generate a benchmark program")
     g.add_argument("kind", choices=["adder", "mcx"])
-    size_env = _env("SIZE")
-    g.add_argument("--size", type=int, required=size_env is None, default=size_env)
-    out_env = _env("OUT")
-    g.add_argument(
-        "-o", "--out", required=out_env is None, default=out_env, metavar="FILE"
-    )
+    g.add_argument("--size", type=int, required=True)
+    g.add_argument("-o", "--out", required=True, metavar="FILE")
 
-    b = sub.add_parser("bench", help="verify a size sweep and time the solver")
+    b = sub.add_parser("bench", help="verify a size sweep and time each verify")
     b.add_argument("kind", choices=["adder", "mcx"])
-    sizes_env = _env("SIZES")
-    b.add_argument("--sizes", type=_size_list, required=sizes_env is None, default=sizes_env)
+    b.add_argument("--sizes", type=_size_list, required=True)
     add_solver_opts(b)
 
     return parser

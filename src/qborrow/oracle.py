@@ -14,7 +14,7 @@ sampling; they define ground truth for the acceptance tests.
 
 import numpy as np
 
-from .elaborator import FlatCircuit, QubitId
+from .elaborator import FlatCircuit, QubitId, QubitRole
 from .errors import QborrowError
 from .verify import EXHAUSTIVE_CAP
 
@@ -95,9 +95,10 @@ class OracleVerdict:
 
 
 def exhaustive_safe(c: FlatCircuit, q: QubitId) -> OracleVerdict:
-    """Decide safety of returning dirty qubit q by enumerating all inputs.
+    """Decide safety of returning dirty qubit q by enumerating all inputs
+    whose clean (alloc) qubits are 0.
 
-    Safe iff for every input x the circuit preserves bit q, and flipping
+    Safe iff for every such input x the circuit preserves bit q, and flipping
     bit q of the input changes nothing but (possibly) bit q of the output
     -- together: the circuit acts as (identity on q) tensor (rest).
     """
@@ -105,10 +106,15 @@ def exhaustive_safe(c: FlatCircuit, q: QubitId) -> OracleVerdict:
     values = permutation(c)  # raises above EXHAUSTIVE_CAP
     idx = np.arange(1 << n, dtype=np.int64)
     qmask = 1 << (n - 1 - q.gid)
+    clean = sum(
+        1 << (n - 1 - qq.gid)
+        for qq, role in zip(c.qubits, c.roles)
+        if role is QubitRole.CLEAN and qq != q
+    )
     keeps_q = ((values ^ idx) & qmask) == 0
     flipped = values[idx ^ qmask]
     off_independent = ((values ^ flipped) & ~qmask) == 0
-    violation = ~(keeps_q & off_independent)
+    violation = ~(keeps_q & off_independent) & ((idx & clean) == 0)
     if not violation.any():
         return OracleVerdict(True)
     witness = int(np.argmax(violation))  # smallest index = lex-smallest tuple

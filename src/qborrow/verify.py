@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .boolform import BoolExpr, cond_restore_plus, cond_restore_zero, count_nodes, track
-from .elaborator import FlatCircuit, QubitId, simulate
+from .elaborator import FlatCircuit, QubitId, QubitRole, simulate
 from .errors import ResourceLimit, SelfCheckError, UsageError
 from .satcore import (
     DEFAULT_BUDGET_CONFLICTS,
@@ -184,14 +184,17 @@ def witness_violates(c: FlatCircuit, q: QubitId, witness: dict[str, bool], which
 
 def exact_safe(c: FlatCircuit, q: QubitId) -> int:
     """Decide q on every input at once; returns the mask of violating inputs,
-    0 exactly when q is safe.  Bit v * 2^(n-1) + e stands for the input with
-    q = v and the other qubits, in gid order, spelling e in binary from its
-    highest bit down."""
+    0 exactly when q is safe.  Clean (alloc) qubits start at 0, as in
+    tracking, so only the d other dirty qubits vary: bit v * 2^d + e stands
+    for the input with q = v and those qubits, in gid order, spelling e in
+    binary from its highest bit down."""
     n = c.n_qubits
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"{n} qubits exceed the exhaustive cap of {EXHAUSTIVE_CAP}")
+    clean = QubitRole.CLEAN
+    dirty = [i for i, role in enumerate(c.roles) if i != q.gid and role is not clean]
     columns, m = [0] * n, 1
-    for gid in reversed([i for i in range(n) if i != q.gid]):  # the last is bit 0 of e
+    for gid in reversed(dirty):  # the last is bit 0 of e
         columns = [col | col << m for col in columns]  # a second copy of every pattern
         columns[gid] = ((1 << m) - 1) << m  # 0 in the first copy, 1 in the second
         m *= 2

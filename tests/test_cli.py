@@ -333,30 +333,24 @@ def test_report_echoes_config(qbr, tmp_path):
 
 
 # --------------------------------------------------------------------------
-# environment overrides
+# flags are the only configuration
 
 
-def test_env_mirrors_flags(qbr, tmp_path, monkeypatch):
+def test_cli_ignores_qborrow_environment(qbr, tmp_path, monkeypatch, capsys):
+    # the CLI reads no environment: variables named like its flags change nothing
     path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
-    d = tmp_path / "viaenv"
-    monkeypatch.setenv("QBORROW_EMIT_SMTLIB", str(d))
-    assert main(["verify", path]) == EXIT_SAFE
-    assert (d / "safe.a.cond1.smt2").exists()
-
-
-def test_flag_beats_env(qbr, tmp_path, monkeypatch):
-    path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
-    denv, dflag = tmp_path / "envdir", tmp_path / "flagdir"
-    monkeypatch.setenv("QBORROW_EMIT_SMTLIB", str(denv))
-    main(["verify", path, "--emit-smtlib", str(dflag)])
-    assert dflag.exists() and not denv.exists()
-
-
-def test_env_gen_size(tmp_path, monkeypatch):
-    out = tmp_path / "g.qbr"
-    monkeypatch.setenv("QBORROW_SIZE", "8")
-    assert main(["gen", "adder", "-o", str(out)]) == EXIT_SAFE
-    assert "let n = 8;" in out.read_text()
+    emit, report = tmp_path / "emit", tmp_path / "r.json"
+    monkeypatch.setenv("QBORROW_SOLVER", "cmd:false")
+    monkeypatch.setenv("QBORROW_BUDGET_CONFLICTS", "0")
+    monkeypatch.setenv("QBORROW_ORACLE", "1")
+    monkeypatch.setenv("QBORROW_EMIT_SMTLIB", str(emit))
+    assert main(["verify", path, "--report", str(report)]) == EXIT_SAFE
+    assert json.loads(report.read_text())["config"]["solver"] == "internal"
+    assert not emit.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "adder", "-o", str(tmp_path / "x.qbr")])  # --size is required
+    assert exc.value.code == EXIT_ERROR
+    assert "--size" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -413,7 +407,7 @@ def test_bench_rows_and_report(tmp_path, capsys):
     assert [r["size"] for r in doc["rows"]] == [4, 5]
     assert [r["gates"] for r in doc["rows"]] == [32, 48]
     assert all(r["verdict"] == "all-safe" for r in doc["rows"])
-    assert all(r["solver_ms"] >= 0 for r in doc["rows"])
+    assert all(r["verify_ms"] > 0 for r in doc["rows"])
 
 
 def test_bench_bad_size(capsys):
@@ -425,10 +419,9 @@ def test_bench_bad_size(capsys):
 # malformed input to the command line: exit 2, never a traceback
 
 
-def run_cli(args, env_extra=(), cwd=None):
+def run_cli(args, cwd=None):
     src = str(Path(qborrow.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("QBORROW_")}
-    env.update(env_extra, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-m", "qborrow.cli", *args],
         capture_output=True, text=True, env=env, cwd=cwd,
@@ -436,32 +429,31 @@ def run_cli(args, env_extra=(), cwd=None):
 
 
 @pytest.mark.parametrize(
-    "args, env",
+    "args",
     [
-        (["bench", "adder", "--sizes", "4", "--solver", "bogus"], {}),
-        (["bench", "adder", "--sizes", "x"], {}),
-        (["bench", "mcx", "--sizes", "4"], {"QBORROW_BUDGET_SECONDS": "abc"}),
-        (["bench", "mcx", "--sizes", "4"], {"QBORROW_BUDGET_CONFLICTS": "abc"}),
-        (["gen", "adder", "-o", "out.qbr"], {"QBORROW_SIZE": "abc"}),
-        (["gen", "adder", "--size", "100000000", "-o", "out.qbr"], {}),
-        (["verify", "prog.qbr"], {"QBORROW_ORACLE": "ture"}),
+        ["bench", "adder", "--sizes", "4", "--solver", "bogus"],
+        ["bench", "adder", "--sizes", "x"],
+        ["bench", "mcx", "--sizes", "4", "--budget-seconds", "abc"],
+        ["bench", "mcx", "--sizes", "4", "--budget-conflicts", "abc"],
+        ["gen", "adder", "--size", "abc", "-o", "out.qbr"],
+        ["gen", "adder", "--size", "100000000", "-o", "out.qbr"],
         # an output path that cannot be written: exit 1 would misreport a safe program
-        (["verify", "prog.qbr", "--report", "missing/r.json"], {}),
-        (["verify", "prog.qbr", "--emit-dimacs", "prog.qbr"], {}),
-        (["verify", "prog.qbr", "--emit-smtlib", "prog.qbr/x"], {}),
-        (["gen", "adder", "--size", "4", "-o", "missing/x.qbr"], {}),
-        (["bench", "adder", "--sizes", "4", "--report", "missing/r.json"], {}),
+        ["verify", "prog.qbr", "--report", "missing/r.json"],
+        ["verify", "prog.qbr", "--emit-dimacs", "prog.qbr"],
+        ["verify", "prog.qbr", "--emit-smtlib", "prog.qbr/x"],
+        ["gen", "adder", "--size", "4", "-o", "missing/x.qbr"],
+        ["bench", "adder", "--sizes", "4", "--report", "missing/r.json"],
         # a budget that is not finite or is negative
-        (["verify", "prog.qbr", "--budget-seconds", "inf", "--solver", "cmd:true"], {}),
-        (["verify", "prog.qbr", "--budget-seconds", "nan"], {}),
-        (["verify", "prog.qbr", "--budget-seconds", "-1"], {}),
-        (["verify", "prog.qbr"], {"QBORROW_BUDGET_SECONDS": "inf"}),
-        (["verify", "prog.qbr", "--budget-conflicts", "-1"], {}),
+        ["verify", "prog.qbr", "--budget-seconds", "inf", "--solver", "cmd:true"],
+        ["verify", "prog.qbr", "--budget-seconds", "nan"],
+        ["verify", "prog.qbr", "--budget-seconds", "-1"],
+        ["verify", "prog.qbr", "--budget-seconds", "inf"],
+        ["verify", "prog.qbr", "--budget-conflicts", "-1"],
     ],
 )
-def test_malformed_input_exits_2(args, env, tmp_path):
+def test_malformed_input_exits_2(args, tmp_path):
     (tmp_path / "prog.qbr").write_text(SAFE_CCCNOT_SRC)
-    proc = run_cli(args, env, cwd=tmp_path)
+    proc = run_cli(args, cwd=tmp_path)
     assert proc.returncode == EXIT_ERROR, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("error:") == 1, proc.stderr
@@ -492,17 +484,6 @@ def test_source_that_is_not_utf8_exits_2(tmp_path):
     assert proc.stderr == "error: latin1.qbr: not UTF-8 text (invalid continuation byte at byte 16)\n"
 
 
-@pytest.mark.parametrize(
-    "value, on", [("1", True), ("on", True), ("Yes", True), ("0", False), ("off", False), ("", False)]
-)
-def test_env_oracle_values(value, on, qbr, monkeypatch, capsys):
-    # above the oracle's qubit cap the cross-check announces that it skips
-    path = qbr("adder12.qbr", adder_source(12))
-    monkeypatch.setenv("QBORROW_ORACLE", value)
-    assert main(["verify", path]) == EXIT_SAFE
-    assert ("oracle cross-check skipped" in capsys.readouterr().err) is on
-
-
 # --------------------------------------------------------------------------
 # misc plumbing
 
@@ -523,8 +504,7 @@ def test_usage_error_is_exit_2():
 def test_import_leaves_numpy_unloaded(qbr):
     # numpy is for the tests' reference oracle alone; `verify --oracle` runs without it
     src = str(Path(qborrow.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("QBORROW_")}
-    env["PYTHONPATH"] = src
+    env = dict(os.environ, PYTHONPATH=src)
     safe, leaky = qbr("safe.qbr", SAFE_CCCNOT_SRC), qbr("leaky.qbr", LEAKY_CCCNOT_SRC)
     code = (
         "import sys, qborrow, qborrow.cli; qborrow.cli.main(sys.argv[1:]); "
@@ -551,8 +531,7 @@ def test_import_leaves_numpy_unloaded(qbr):
 def test_verify_leaves_the_external_solver_modules_unloaded(qbr):
     # only `cmd:` solvers run a subprocess; count what the interpreter had not loaded itself
     src = str(Path(qborrow.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("QBORROW_")}
-    env["PYTHONPATH"] = src
+    env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys; before = set(sys.modules); from qborrow.cli import main; "
         "code = main(sys.argv[1:]); loaded = set(sys.modules) - before; "

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qborrow import elaborate_source
 from qborrow.benchgen import adder_source, mcx_source
@@ -27,7 +29,7 @@ from qborrow.oracle import (
     simulate_statevector,
     unpack_basis,
 )
-from qborrow.verify import exact_safe
+from qborrow.verify import exact_safe, verify_circuit, witness_violates
 
 from conftest import mutant_sources, random_program
 
@@ -175,6 +177,77 @@ def test_exact_check_matches_oracle_on_mutants(source):
     for mutant in mutant_sources(source):
         c = elaborate_source(mutant)
         assert_exact_matches_oracle(c, c.verify_qubits())
+
+
+def test_clean_qubits_start_at_zero():
+    # tracking starts an alloc qubit at 0, so its 1 inputs are no counterexample
+    c = elaborate_source("alloc c;\nborrow a;\nborrow@ t;\nCCNOT[c, a, t];\n")
+    a = c.qubit("a")
+    assert verify_circuit(c).verdicts[0].status == "safe"
+    assert exact_safe(c, a) == 0
+    assert exhaustive_safe(c, a).safe
+
+
+@st.composite
+def source_programs(draw) -> str:
+    """A program of 1 to 5 registers of 1 to 3 qubits, each borrow, borrow@
+    or alloc and sized by a `let`, and up to 8 gates and `for` loops that
+    count up or down; a loop's gates may index by its variable any register
+    wide enough for its range."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    n = len(sizes)
+    roles = draw(st.lists(st.sampled_from(["borrow", "borrow@", "alloc"]), min_size=n, max_size=n))
+    indexed = [size > 1 or draw(st.booleans()) for size in sizes]
+    lines = []
+    for r, (size, role) in enumerate(zip(sizes, roles)):
+        if indexed[r]:
+            lines += [f"let s{r} = {size};", f"{role} r{r}[s{r}];"]
+        else:
+            lines.append(f"{role} r{r};")
+
+    def gate(loop_top: int) -> str:
+        regs = draw(st.permutations(range(n)))[: draw(st.integers(1, min(3, n)))]
+        ops = []
+        for r in regs:
+            if not indexed[r]:
+                ops.append(f"r{r}")
+                continue
+            index = [str(i) for i in range(1, sizes[r] + 1)] + [f"s{r}"]
+            if sizes[r] >= loop_top > 0:
+                index.append("i")
+            ops.append(f"r{r}[{draw(st.sampled_from(index))}]")
+        return f"{('X', 'CNOT', 'CCNOT')[len(ops) - 1]}[{', '.join(ops)}];"
+
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            lines.append(gate(0))
+            continue
+        lo, hi = sorted(draw(st.lists(st.integers(1, 3), min_size=2, max_size=2)))
+        start, stop = (lo, hi) if draw(st.booleans()) else (hi, lo)
+        body = [gate(hi) for _ in range(draw(st.integers(1, 3)))]
+        lines += [f"for i = {start} to {stop} {{", *body, "}"]
+    lines += [f"release r{r};" for r in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+ORACLE_QUBITS = 12  # the numpy oracle enumerates 2^n inputs
+
+
+@settings(max_examples=300, deadline=None)
+@given(source_programs())
+def test_verdicts_match_enumeration_on_source_programs(source):
+    c = elaborate_source(source)
+    by_label = {q.label: q for q in c.qubits}
+    for v in verify_circuit(c).verdicts:
+        if v.status not in ("safe", "unsafe"):
+            continue
+        q = by_label[v.qubit]
+        safe = v.status == "safe"
+        assert (exact_safe(c, q) == 0) == safe, v
+        if c.n_qubits <= ORACLE_QUBITS:
+            assert exhaustive_safe(c, q).safe == safe, v
+        if not safe:
+            assert witness_violates(c, q, v.witness, v.violated), v
 
 
 # --------------------------------------------------------------------------

@@ -181,8 +181,7 @@ def test_adder_carries_cancel_while_tracking(monkeypatch):
 
 def run_report(path: Path, report: Path, hashseed: str) -> dict:
     src = str(Path(qborrow.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("QBORROW_")}
-    env.update(PYTHONPATH=src, PYTHONHASHSEED=hashseed)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hashseed)
     subprocess.run(
         [sys.executable, "-m", "qborrow.cli", "verify", str(path), "--report", str(report)],
         capture_output=True, text=True, env=env, check=False,

@@ -181,8 +181,7 @@ def test_failed_self_check_exits_4(tmp_path, patch):
     path = tmp_path / "leaky.qbr"
     path.write_text(LEAKY_CCCNOT_SRC)
     code = f"import sys; {patch}; from qborrow.cli import main; sys.exit(main(sys.argv[1:]))"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("QBORROW_")}
-    env["PYTHONPATH"] = str(Path(qborrow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=str(Path(qborrow.__file__).resolve().parent.parent))
     proc = subprocess.run(
         [sys.executable, "-c", code, "verify", str(path)], capture_output=True, text=True, env=env
     )
