@@ -2,14 +2,25 @@
 
 Folds `let` bindings, unrolls `for` loops (bounds evaluated once, direction
 inferred from their values), enforces the borrow/release discipline and
-resolves every register reference to a concrete qubit.  Also provides the
-purely syntactic idle-qubit analysis over an extended statement language that
-includes the measurement-guarded constructs absent from the parsed fragment.
+resolves every register reference to a concrete qubit.  A loop whose body is
+gates only is unrolled by affine index arithmetic: each operand index is
+folded once to a*i + b in the loop index i, and its range, overflow and
+distinctness are checked at the loop's two endpoints rather than at every
+iteration (the bounds-check elimination of Bodik, Gupta & Sarkar, "ABCD:
+eliminating array bounds checks on demand", PLDI 2000).  That path is taken
+only when no check can fail; otherwise the loop is interpreted statement by
+statement, which raises the first error where it occurs.  Both charge the
+same unroll steps and give the same gates.
+
+Also provides the purely syntactic idle-qubit analysis over an extended
+statement language that includes the measurement-guarded constructs absent
+from the parsed fragment.
 """
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import chain, repeat
+from typing import Iterable, Mapping, NamedTuple
 
 from . import frontend
 from .errors import SourceError
@@ -85,8 +96,7 @@ class QubitId:
         return f"QubitId({self.label})"
 
 
-@dataclass(frozen=True)
-class McxGate:
+class McxGate(NamedTuple):
     """NOT on `target` when every control is 1; X is the gate with no controls."""
 
     controls: tuple[QubitId, ...]  # pairwise distinct (elaboration checks), target excluded
@@ -202,11 +212,54 @@ def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _affine(e: Expr, var: str, env: Mapping[str, int]) -> tuple[int, int] | None:
+    """Fold `e` to (a, b) with e = a*var + b, every other name constant;
+    None when a name is unbound or both factors of a product depend on var."""
+    if isinstance(e, frontend.Num):
+        return 0, e.value
+    if isinstance(e, frontend.Name):
+        if e.ident == var:
+            return 1, 0
+        return (0, env[e.ident]) if e.ident in env else None
+    if isinstance(e, frontend.Neg):
+        f = _affine(e.operand, var, env)
+        return None if f is None else (-f[0], -f[1])
+    left = _affine(e.left, var, env)
+    right = _affine(e.right, var, env)
+    if left is None or right is None:
+        return None
+    (a1, b1), (a2, b2) = left, right
+    if e.op == "+":
+        return a1 + a2, b1 + b2
+    if e.op == "-":
+        return a1 - a2, b1 - b2
+    if a1 and a2:
+        return None
+    return a1 * b2 + a2 * b1, b1 * b2
+
+
 def loop_range(start: int, stop: int) -> range:
     """Inclusive range; counts down when start > stop."""
     if start <= stop:
         return range(start, stop + 1)
     return range(start, stop - 1, -1)
+
+
+def _in_range(index: Expr, env: Mapping[str, int], var: str, lo: int, hi: int, size: int) -> bool:
+    """Does an affine `index` evaluate without overflow and within 1..size
+    at var = lo and var = hi (hence, being monotone, everywhere between)?"""
+    try:
+        return all(1 <= eval_expr(index, {**env, var: v}) <= size for v in (lo, hi))
+    except ElabError:
+        return False
+
+
+def _meets(a1: int, b1: int, a2: int, b2: int, lo: int, hi: int) -> bool:
+    """Is a1*i + b1 == a2*i + b2 for some integer i in lo..hi?"""
+    if a1 == a2:
+        return b1 == b2
+    i, r = divmod(b2 - b1, a1 - a2)
+    return r == 0 and lo <= i <= hi
 
 
 # --------------------------------------------------------------------------
@@ -341,12 +394,61 @@ class _Elaborator:
             )
         start = eval_expr(s.start, self.values)
         stop = eval_expr(s.stop, self.values)
+        if self.unroll_affine(s, start, stop):
+            return
         self.spend(abs(stop - start) + 1, s.loc)
         for value in loop_range(start, stop):
             self.values[s.var] = value
             for inner in s.body:
                 self.stmt(inner)
         self.values.pop(s.var, None)
+
+    def unroll_affine(self, s: frontend.For, start: int, stop: int) -> bool:
+        """Unroll a gates-only loop whose every check passes at both
+        endpoints, charging the steps the interpreter would; False, with
+        nothing changed, when the interpreter must run the loop instead."""
+        n = abs(stop - start) + 1
+        if n + n * len(s.body) > self.steps_left:
+            return False
+        lo, hi = min(start, stop), max(start, stop)
+        plan = []  # per gate: (gid of each operand at i = 0, its coefficient of i)
+        for g in s.body:
+            if not isinstance(g, frontend.GateStmt):
+                return False
+            ops = []  # (register, a, b) per operand
+            for ref in g.operands:
+                reg = self.registers.get(ref.name)
+                if reg is None or ref.name in self.released:
+                    return False
+                if ref.index is None:
+                    a, b = 0, 1
+                else:
+                    f = _affine(ref.index, s.var, self.values)
+                    if f is None or not _in_range(ref.index, self.values, s.var, lo, hi, reg.size):
+                        return False
+                    a, b = f
+                for reg2, a2, b2 in ops:
+                    if reg2 is reg and _meets(a, b, a2, b2, lo, hi):
+                        return False
+                ops.append((reg, a, b))
+            plan.append([(reg.first_gid + b - 1, a) for reg, a, b in ops])
+        self.steps_left -= n + n * len(s.body)
+        step = 1 if start <= stop else -1
+        qubits = self.qubits
+
+        def column(g0: int, a: int) -> list[QubitId]:  # one operand over all iterations
+            if a == 0:
+                return [qubits[g0]] * n
+            end = g0 + a * (stop + step)  # one stride past the last gid; -1 would wrap
+            return qubits[g0 + a * start : end if end >= 0 else None : a * step]
+
+        per_gate = []  # each gate of the body, over all iterations
+        for ops in plan:
+            cols = [column(g0, a) for g0, a in ops]
+            controls = zip(*cols[:-1]) if len(cols) > 1 else repeat((), n)
+            per_gate.append(map(McxGate, controls, cols[-1]))
+        self.gates += chain.from_iterable(zip(*per_gate))  # iteration by iteration
+        return True
 
 
 def elaborate(ast: ProgramAst) -> FlatCircuit:

@@ -94,6 +94,17 @@ class OracleVerdict:
         )
 
 
+def _clean_mask(c: FlatCircuit, q: QubitId) -> int:
+    """Basis-index bits of the clean (alloc) qubits other than q: inputs
+    with any of them set are never prepared, since those qubits start at 0."""
+    n = c.n_qubits
+    return sum(
+        1 << (n - 1 - qq.gid)
+        for qq, role in zip(c.qubits, c.roles)
+        if role is QubitRole.CLEAN and qq != q
+    )
+
+
 def exhaustive_safe(c: FlatCircuit, q: QubitId) -> OracleVerdict:
     """Decide safety of returning dirty qubit q by enumerating all inputs
     whose clean (alloc) qubits are 0.
@@ -106,11 +117,7 @@ def exhaustive_safe(c: FlatCircuit, q: QubitId) -> OracleVerdict:
     values = permutation(c)  # raises above EXHAUSTIVE_CAP
     idx = np.arange(1 << n, dtype=np.int64)
     qmask = 1 << (n - 1 - q.gid)
-    clean = sum(
-        1 << (n - 1 - qq.gid)
-        for qq, role in zip(c.qubits, c.roles)
-        if role is QubitRole.CLEAN and qq != q
-    )
+    clean = _clean_mask(c, q)
     keeps_q = ((values ^ idx) & qmask) == 0
     flipped = values[idx ^ qmask]
     off_independent = ((values ^ flipped) & ~qmask) == 0
@@ -168,7 +175,7 @@ def _split(values: np.ndarray, qpos: int) -> tuple[np.ndarray, np.ndarray]:
 
 def check_state_restoration(c: FlatCircuit, q: QubitId, phi) -> bool:
     """Does the circuit return qubit q to pure state phi for every basis
-    environment?
+    environment in which the clean (alloc) qubits are 0?
 
     For environment e the prepared state e (x) phi has exactly two nonzero
     amplitudes, at indices (e, q=0) and (e, q=1); the circuit maps them to
@@ -212,14 +219,15 @@ def check_state_restoration(c: FlatCircuit, q: QubitId, phi) -> bool:
         & (np.abs(rho01 - target[0, 1]) <= TOL)
         & (np.abs(rho11 - target[1, 1]) <= TOL)
     )
-    return bool(ok.all())
+    return bool(ok[(base & _clean_mask(c, q)) == 0].all())
 
 
 def check_bell_preservation(c: FlatCircuit, q: QubitId) -> bool:
     """Does the circuit preserve a Bell pair between q and an external qubit?
 
     A hypothetical partner q' (untouched by the circuit) is appended and
-    (q, q') prepared in (|00> + |11>)/sqrt(2) for every basis environment.
+    (q, q') prepared in (|00> + |11>)/sqrt(2) for every basis environment
+    in which the clean (alloc) qubits are 0.
     With j0, j1 the images of the two prepared indices as in
     check_state_restoration, the reduced state on (q, q') equals the Bell
     projector exactly when the q bit of j0 is 0, the q bit of j1 is 1, and
@@ -237,5 +245,5 @@ def check_bell_preservation(c: FlatCircuit, q: QubitId) -> bool:
     b0, r0 = _split(j0, qpos)
     b1, r1 = _split(j1, qpos)
     ok = (b0 == 0) & (b1 == 1) & (r0 == r1)
-    return bool(ok.all())
+    return bool(ok[(base & _clean_mask(c, q)) == 0].all())
 

@@ -4,7 +4,9 @@ For each borrow-verified qubit of an elaborated circuit, `verify_circuit`
 takes cond1 and then cond2 down one path: build it from the tracked
 formulas, write it when an emit directory is given, decide it with the
 internal CDCL solver or an external SMT-LIB2 solver, and fold the outcome
-into the qubit's `Verdict`.  The first satisfiable condition means Unsafe,
+into the qubit's verdict, built as one `Verdict` when the qubit is settled.
+A condition that folded to `false` is unsat without a solver call, unless
+the solver is external.  The first satisfiable condition means Unsafe,
 and cond2 is then built only to be written; both unsatisfiable means Safe; a
 budget that runs out means Unknown.  `cross_check` compares the decided
 verdicts with exhaustive enumeration (`exact_safe`), for `--oracle`.
@@ -274,12 +276,14 @@ def verify_circuit(
         for d in (dimacs_dir, smtlib_dir):
             if d is not None:
                 d.mkdir(parents=True, exist_ok=True)
+    # the layers are looked up per call, so wrappers set on this module see them
+    conds = (("cond1", cond_restore_zero), ("cond2", cond_restore_plus))
     verdicts = []
     for q in circuit.verify_qubits():
-        v = Verdict(q.label, "safe")
-        # the layers are looked up per call, so wrappers set on this module see them
-        for name, build in (("cond1", cond_restore_zero), ("cond2", cond_restore_plus)):
-            if v.status == "unsafe" and not emitting:  # settled by cond1
+        status, violated, witness, budget = "safe", None, None, None
+        solve_ms, nodes, n_vars, n_clauses = 0.0, 0, 0, 0
+        for name, build in conds:
+            if status == "unsafe" and not emitting:  # settled by cond1
                 break
             e = build(q, state)
             encoded = script = None  # the Tseitin encoding and .smt2 file written
@@ -291,41 +295,44 @@ def verify_circuit(
                 if smtlib_dir is not None:
                     script = smtlib_dir / f"{base}.smt2"
                     script.write_text(emit_smtlib(e))
-            if v.status == "unsafe":  # cond2 was built only to be written
-                break
+                if status == "unsafe":  # cond2 was built only to be written
+                    break
+            if e.op == "false" and external is None:  # what most conditions fold to
+                nodes += 1
+                n_clauses += 1  # the empty clause
+                continue
             t0 = time.perf_counter()
-            witness = None  # internal sat answers only
+            model = None  # internal sat answers only
             # Unknown only when deciding; a size cap met building or writing
             # ends the run.  The sizes count the CNF a solve was given, even
             # one whose budget ran out.
             try:
                 if external is not None:
-                    status = _decide_external(e, external, budget_seconds, script)
-                elif e.op == "false":  # what most conditions fold to: the empty clause
-                    status = "unsat"
-                    v.cnf_clauses += 1
+                    result = _decide_external(e, external, budget_seconds, script)
                 else:
                     cnf, root = encoded or tseitin(e)
-                    v.cnf_vars += cnf.n_vars
-                    v.cnf_clauses += len(cnf.clauses)
+                    n_vars += cnf.n_vars
+                    n_clauses += len(cnf.clauses)
                     if root is None:  # `true`: the empty CNF
-                        status, witness = "sat", {}
+                        result, model = "sat", {}
                     else:
                         res = solve(cnf, root, budget_conflicts, budget_seconds)
-                        status = res.status
+                        result = res.status
                         if res.is_sat:
-                            witness = {x.label: b for x, b in res.model.items()}
+                            model = {x.label: b for x, b in res.model.items()}
             except ResourceLimit as exc:
-                status, reason = "unknown", exc.reason
-            v.solve_ms += _ms_since(t0)
-            v.formula_nodes += count_nodes(e) if e.args else 1
-            if status == "sat":
-                if witness is not None and not witness_violates(circuit, q, witness, name):
-                    raise SelfCheckError(f"{q.label}: {name} witness {witness} does not replay")
-                v.status, v.violated, v.witness, v.budget = "unsafe", name, witness, None
-            elif status == "unknown" and v.status == "safe":
-                v.status, v.budget = "unknown", reason
-        verdicts.append(v)
+                result, reason = "unknown", exc.reason
+            solve_ms += _ms_since(t0)
+            nodes += count_nodes(e) if e.args else 1
+            if result == "sat":
+                if model is not None and not witness_violates(circuit, q, model, name):
+                    raise SelfCheckError(f"{q.label}: {name} witness {model} does not replay")
+                status, violated, witness, budget = "unsafe", name, model, None
+            elif result == "unknown" and status == "safe":
+                status, budget = "unknown", reason
+        verdicts.append(
+            Verdict(q.label, status, violated, witness, budget, solve_ms, nodes, n_vars, n_clauses)
+        )
     verdicts += [Verdict(q.label, "skipped") for q in circuit.skipped_qubits()]
 
     total_ms = _ms_since(t_start)

@@ -1,12 +1,17 @@
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qborrow import elaborate_source
+from qborrow import elaborate_source, elaborator
+from qborrow.benchgen import adder_source, mcx_source
 from qborrow.elaborator import (
     ArithmeticOverflow,
     BorrowBlock,
     DuplicateOperand,
+    ElabError,
     ElabLimitExceeded,
     IfMeasure,
     IndexOutOfRange,
@@ -27,6 +32,8 @@ from qborrow.elaborator import (
     loop_range,
     seq,
 )
+
+from conftest import LEAKY_CCCNOT_SRC, SAFE_CCCNOT_SRC, flat_source
 
 
 # --------------------------------------------------------------------------
@@ -179,6 +186,124 @@ def test_min_int64_negation_overflow():
     elaborate_source("let n = -9223372036854775807 - 1;")
     with pytest.raises(ArithmeticOverflow):
         elaborate_source("let n = -9223372036854775807 - 2;")
+
+
+# --------------------------------------------------------------------------
+# affine unrolling against the statement interpreter
+
+
+def outcome(source: str):
+    """The circuit, or the first error as (class, line, column, message)."""
+    try:
+        return elaborate_source(source)
+    except ElabError as exc:
+        return type(exc), exc.line, exc.column, exc.message
+
+
+def interpreted(source: str):
+    with mock.patch.object(elaborator._Elaborator, "unroll_affine", lambda *args: False):
+        return outcome(source)
+
+
+LEAVES = [
+    *("i", "i", "i", "(i + 1)", "(i - 1)", "(6 - i)", "(2 * i)", "(i * j)", "(i * i)"),
+    *("j", "k", "big", "0", "1", "2", "3", "7"),
+]
+index_exprs = st.recursive(
+    st.sampled_from(LEAVES),
+    lambda inner: st.tuples(inner, st.sampled_from("+-*"), inner).map(" ".join).map("({})".format)
+    | inner.map("(-{})".format),
+    max_leaves=4,
+)
+operands = st.tuples(st.sampled_from("qqqqrtk"), st.none() | index_exprs).map(
+    lambda ref: ref[0] if ref[1] is None else f"{ref[0]}[{ref[1]}]"
+)
+gates = st.lists(operands, min_size=1, max_size=3).map(
+    lambda ops: f"{('X', 'CNOT', 'CCNOT')[len(ops) - 1]}[{', '.join(ops)}];"
+)
+bounds = st.sampled_from(["-1", "0", "1", "2", "3", "5", "8", "9", "k", "(k + 2)", "(9 - k)"])
+
+
+@st.composite
+def loop_programs(draw) -> str:
+    """A loop over gates, maybe nested, around registers that may be
+    released or shadowed by a number: both elaboration paths must agree."""
+    lines = [
+        f"let k = {draw(st.integers(0, 4))};",
+        "let big = 4611686018427387904;",
+        f"borrow q[{draw(st.integers(1, 8))}];",
+        f"borrow r[{draw(st.integers(1, 4))}];",
+        "borrow t;",
+    ]
+    if draw(st.integers(0, 2)) == 0:
+        lines.append("release r;")
+    body = draw(st.lists(gates, max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        body.append("let x = 1;")  # not gates only: the second iteration redefines x
+    loop = f"for i = {draw(bounds)} to {draw(bounds)} {{ {' '.join(body)} }}"
+    if draw(st.booleans()):
+        loop = f"for j = {draw(bounds)} to {draw(bounds)} {{ {loop} }}"
+    return "\n".join(lines + [loop, "X[t];"]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=loop_programs(), steps=st.none() | st.integers(1, 80))
+def test_affine_unrolling_matches_the_interpreter(source, steps):
+    with mock.patch.object(elaborator, "MAX_UNROLL_STEPS", steps or elaborator.MAX_UNROLL_STEPS):
+        assert outcome(source) == interpreted(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [adder_source(n) for n in range(3, 65)]
+    + [mcx_source(m) for m in (*range(4, 20), *range(20, 257, 12), 256)],
+    ids=lambda source: source.split("\n")[0],
+)
+def test_benchmark_programs_unroll_as_interpreted(source):
+    taken = []
+    unroll = elaborator._Elaborator.unroll_affine
+
+    def spy(self, *args):
+        taken.append(unroll(self, *args))
+        return taken[-1]
+
+    with mock.patch.object(elaborator._Elaborator, "unroll_affine", spy):
+        fast = outcome(source)
+    assert taken and all(taken)  # every loop of these programs takes the affine path
+    assert fast == interpreted(source)
+
+
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        ("borrow q[5];\nfor i = 1 to 5 {\n  CNOT[q[i], q[6 - i]];\n}", (DuplicateOperand, 3, 3)),
+        ("borrow q[5];\nfor i = 3 to 5 {\n  CNOT[q[i], q[6 - i]];\n}", (DuplicateOperand, 3, 3)),
+        ("borrow q[5];\nfor i = 1 to 3 {\n  CNOT[q[6 - i], q[i]];\n}", (DuplicateOperand, 3, 3)),
+        ("borrow q[4];\nfor i = 4 to 0 {\n  X[q[i]];\n}", (IndexOutOfRange, 3, 5)),
+        ("let big = 4611686018427387904;\nborrow q;\nfor i = 1 to 2 { X[q[big * i - big * i + 1]]; }",
+         (ArithmeticOverflow, 3, 26)),
+        ("let big = 4611686018427387904;\nborrow q;\n"
+         "for i = 1 to 2 { X[q[big * i - big * i + 1]]; X[q[2]]; }", (IndexOutOfRange, 3, 49)),
+        ("borrow q[2];\nrelease q;\nfor i = 1 to 2 { X[q[i]]; }", (UseAfterRelease, 3, 20)),
+    ],
+)
+def test_loop_errors_come_from_the_failing_iteration(source, error):
+    assert outcome(source)[:3] == error
+    assert outcome(source) == interpreted(source)
+
+
+def test_non_affine_index_is_interpreted():
+    c = elaborate_source("borrow q[9];\nfor i = 1 to 3 { X[q[i * i]]; }")
+    assert dump_gates(c) == "X q.1\nX q.4\nX q.9\n"
+
+
+def test_printed_gates_re_elaborate_to_equal_gates():
+    # perfbench prints mutants from g.controls, g.target and the qubits'
+    # .name and .index, as conftest.flat_source does
+    for source in (SAFE_CCCNOT_SRC, LEAKY_CCCNOT_SRC, adder_source(8), mcx_source(8)):
+        c = elaborate_source(source)
+        assert all(isinstance(g, McxGate) for g in c.gates)
+        assert elaborate_source(flat_source(c, skip=-1)).gates == c.gates
 
 
 # --------------------------------------------------------------------------

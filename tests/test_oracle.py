@@ -441,3 +441,15 @@ def test_bell_matches_naive_path():
         c = elaborate_source(random_program(rng, rng.randint(2, 5), rng.randint(1, 15)))
         for q in c.qubits:
             assert check_bell_preservation(c, q) == naive_bell(c, q)
+
+
+def test_restoration_and_bell_hold_clean_qubits_at_zero():
+    # c starts at |0>, so the Toffoli never fires and `a` is untouched
+    c = elaborate_source("alloc c;\nborrow a;\nborrow@ t;\nCCNOT[c, a, t];\n")
+    a = c.qubit("a")
+    assert verify_circuit(c).verdicts[0].status == "safe"
+    assert not exact_safe(c, a)
+    assert exhaustive_safe(c, a).safe
+    for phi in FIVE_STATES.values():
+        assert check_state_restoration(c, a, phi)
+    assert check_bell_preservation(c, a)
