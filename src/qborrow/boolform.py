@@ -21,8 +21,16 @@ S AND (A XOR B), so a borrowed carry that two terms thread through cancels
 while the circuit is tracked.  AND flattens only narrow AND children
 (_FLATTEN_MAX_ARGS), so equal products nested differently can be distinct
 nodes that these rules miss; the solver still decides them.
+
+A gate step is a two-operand AND and a two-operand XOR, which `and_` and
+`xor` settle directly when no factoring is needed, and `xor` keeps a
+computed table of its two-operand results (Brace, Rudell & Bryant, DAC
+1990), so a step repeated on the same operands is one lookup.  Both give
+the node the general loop gives, so the DAG and its serials do not depend
+on which path built it.
 """
 
+from bisect import bisect
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
@@ -93,6 +101,9 @@ class BoolStore:
         self._table: dict[str, dict] = {op: {} for op in ops}
         self._n_nodes = 0
         self._n_vars = 0  # support bits given so far
+        # computed table (Brace, Rudell & Bryant, DAC 1990): the result of
+        # every two-operand xor, keyed by its operands as given
+        self._xor2: dict[tuple[BoolExpr, BoolExpr], BoolExpr] = {}
         self.false = self._intern("false", (), None)
         self.true = self._intern("true", (), None)
 
@@ -139,7 +150,19 @@ class BoolStore:
             return e.args[0]
         return self._intern("not", (e,), None)
 
-    def and_(self, children: Iterable[BoolExpr]) -> BoolExpr:
+    def and_(self, children: list[BoolExpr]) -> BoolExpr:
+        if len(children) == 2:  # a gate's product of two controls
+            a, b = children
+            if a.op not in ("true", "false", "and") and b.op not in ("true", "false", "and"):
+                if a is b:
+                    return a
+                if (a.op == "not" and a.args[0] is b) or (b.op == "not" and b.args[0] is a):
+                    return self.false
+                return self._intern("and", (a, b) if _sort_key(a) < _sort_key(b) else (b, a), None)
+        return self._and(children)
+
+    def _and(self, children: list[BoolExpr]) -> BoolExpr:
+        """AND of any children: flattened, deduplicated and sorted."""
         flat: list[BoolExpr] = []
         for c in children:
             if c is self.true:
@@ -158,7 +181,44 @@ class BoolStore:
             return self._intern("and", tuple(sorted(seen, key=_sort_key)), None)
         return seen.pop() if seen else self.true
 
-    def xor(self, children: Iterable[BoolExpr]) -> BoolExpr:
+    def xor(self, children: list[BoolExpr]) -> BoolExpr:
+        if len(children) != 2:
+            return self._xor(children)
+        key = (children[0], children[1])
+        node = self._xor2.get(key)
+        if node is None:
+            node = self._xor2[key] = self._xor_pair(*key) or self._xor(children)
+        return node
+
+    def _xor_pair(self, x: BoolExpr, y: BoolExpr) -> BoolExpr | None:
+        """x XOR y when it is a gate's plain step: two equal operands, a term
+        that cancels from an XOR, or a term that shares no conjunct with x.
+        Gives the node `_xor` gives, and makes no other; None otherwise."""
+        parity = 0
+        if x.op == "not":  # not_ never nests a negation
+            parity, x = 1, x.args[0]
+        if y.op == "not":
+            parity, y = parity ^ 1, y.args[0]
+        if x is y:
+            return self.true if parity else self.false
+        if y.op not in ("var", "and") or x.op not in ("var", "and", "xor"):
+            return None
+        terms = x.args if x.op == "xor" else (x,)
+        if y in terms:  # x is an XOR and y one of its terms
+            terms = tuple(t for t in terms if t is not y)
+            base = terms[0] if len(terms) == 1 else self._intern("xor", terms, None)
+            return self.not_(base) if parity else base
+        conj = y.args if y.op == "and" else (y,)
+        for t in terms:
+            for c in t.args if t.op == "and" else (t,):
+                if c in conj:  # to be factored
+                    return None
+        i = bisect(terms, _sort_key(y), key=_sort_key)
+        base = self._intern("xor", (*terms[:i], y, *terms[i:]), None)
+        return self.not_(base) if parity else base
+
+    def _xor(self, children: list[BoolExpr]) -> BoolExpr:
+        """XOR of any children, by the loop that factors common conjuncts."""
         pending: list[BoolExpr] = []
         parity = _terms(children, pending)
         # the smallest key first, so the form does not depend on the order of
@@ -401,7 +461,8 @@ def apply_gate(s: FormulaState, g: McxGate) -> FormulaState:
 
 
 def track(c: FlatCircuit) -> FormulaState:
-    """Fold apply_gate over the whole gate list starting from init_state."""
+    """The formulas after every gate of `c`, from init_state: one
+    `and_` and one `xor` per gate, over one list indexed by gid."""
     state = init_state(c)
     value = list(state.formulas.values())  # init_state keys them in gid order
     _run(value, c.gates, state.store)

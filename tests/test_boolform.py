@@ -358,16 +358,20 @@ def test_a_node_does_not_depend_on_the_order_of_its_children(tree, rng):
 
 
 def test_an_order_that_is_not_total_is_caught(monkeypatch):
-    # children sorted by op alone keep the order they came in, and xor
+    # children sorted by op alone keep the order they came in: xor
     # factors ab XOR ac XOR bc into bc XOR a(b XOR c) one way round and into
-    # ab XOR c(a XOR b) the other
+    # ab XOR c(a XOR b) the other; the two-operand `and_` and `xor` keep
+    # the order their operands came in
     monkeypatch.setattr(boolform, "_sort_key", attrgetter("op"))
     a, b, c = (("var", v) for v in V[:3])
     majority = ("xor", [("and", [a, b]), ("and", [a, c]), ("and", [b, c])])
-    with pytest.raises(AssertionError):
-        assert_order_free(majority, random.Random(0))
+    trees = [majority, ("and", [a, b]), ("xor", [a, b]), ("xor", [("xor", [a, b]), c])]
+    for tree in trees:
+        with pytest.raises(AssertionError):
+            assert_order_free(tree, random.Random(0))
     monkeypatch.undo()
-    assert_order_free(majority, random.Random(0))
+    for tree in trees:
+        assert_order_free(tree, random.Random(0))
 
 
 def test_evaluate_needs_every_variable():
