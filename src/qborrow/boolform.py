@@ -23,10 +23,13 @@ while the circuit is tracked.  AND flattens only narrow AND children
 nodes that these rules miss; the solver still decides them.
 
 A gate step is a two-operand AND and a two-operand XOR, which `and_` and
-`xor` settle directly when no factoring is needed, and `xor` keeps a
-computed table of its two-operand results (Brace, Rudell & Bryant, DAC
-1990), so a step repeated on the same operands is one lookup.  Both give
-the node the general loop gives, so the DAG and its serials do not depend
+`xor` settle directly, and `xor` keeps a computed table of its two-operand
+results (Brace, Rudell & Bryant, DAC 1990), so a step repeated on the same
+operands is one lookup.  A step that factors with one term of its target is
+settled too, by the general loop's own calls in its order; a step that
+factors more than once, or an X gate's `true`, goes through the general
+loop.  Every path gives the node the general loop gives and makes the
+nodes it makes in the same order, so the DAG and its serials do not depend
 on which path built it.
 """
 
@@ -190,10 +193,24 @@ class BoolStore:
             node = self._xor2[key] = self._xor_pair(*key) or self._xor(children)
         return node
 
-    def _xor_pair(self, x: BoolExpr, y: BoolExpr) -> BoolExpr | None:
-        """x XOR y when it is a gate's plain step: two equal operands, a term
-        that cancels from an XOR, or a term that shares no conjunct with x.
-        Gives the node `_xor` gives, and makes no other; None otherwise."""
+    def _xor_pair(self, x: BoolExpr, y: BoolExpr, factor: bool = True) -> BoolExpr | None:
+        """x XOR y when it is a gate's step: two equal operands, a term that
+        cancels from an XOR, a term that shares no conjunct with x, or (with
+        `factor`) a term y that shares conjuncts with exactly one term t of
+        x, factored once; None otherwise, without recursing.
+
+        Makes the nodes `_xor` makes, and no other, in the same order.  The
+        general loop keeps x's terms (no two share a conjunct) until it
+        meets the later of t and y by serial, and interns nothing before
+        that.  Then it calls `_split` on the earlier and the later, builds
+        A XOR B, calls `and_(S + [A XOR B])`, and keeps that product beside
+        the other terms unless it equals or shares a conjunct with one.
+        The factoring step here makes the same calls in the same order, and
+        builds A XOR B by the steps above, which make the nodes the loop's
+        own A XOR B makes; it inserts the product only where the loop keeps
+        it.  On any other shape it returns None after those calls, and
+        `_xor` makes them again: each node they made is already interned,
+        so the loop finds it and makes the rest in its own order."""
         parity = 0
         if x.op == "not":  # not_ never nests a negation
             parity, x = 1, x.args[0]
@@ -209,12 +226,40 @@ class BoolStore:
             base = terms[0] if len(terms) == 1 else self._intern("xor", terms, None)
             return self.not_(base) if parity else base
         conj = y.args if y.op == "and" else (y,)
+        shared_with = None  # the one term of x that shares a conjunct with y
         for t in terms:
             for c in t.args if t.op == "and" else (t,):
-                if c in conj:  # to be factored
-                    return None
-        i = bisect(terms, _sort_key(y), key=_sort_key)
-        base = self._intern("xor", (*terms[:i], y, *terms[i:]), None)
+                if c in conj:
+                    if shared_with is not None or not factor:
+                        return None
+                    shared_with = t
+                    break
+        if shared_with is None:
+            i = bisect(terms, _sort_key(y), key=_sort_key)
+            base = self._intern("xor", (*terms[:i], y, *terms[i:]), None)
+            return self.not_(base) if parity else base
+
+        t = shared_with  # S AND A XOR S AND B, split in the loop's order
+        shared, a, b = self._split(*((t, y) if _sort_key(t) < _sort_key(y) else (y, t)))
+        a_xor_b = self._xor_pair(b, a, False) if b.op == "xor" else self._xor_pair(a, b, False)
+        if a_xor_b is None:  # A XOR B factors in turn, or is a shape left to the loop
+            return None
+        product = self.and_(shared + [a_xor_b])
+        terms = tuple(u for u in terms if u is not t)
+        if product is not self.false:
+            if product.op not in ("var", "and"):  # a `not` or an XOR: _terms opens it
+                return None
+            conj = product.args if product.op == "and" else (product,)
+            for u in terms:
+                for c in u.args if u.op == "and" else (u,):
+                    if c in conj:  # cancels or factors with u
+                        return None
+            i = bisect(terms, _sort_key(product), key=_sort_key)
+            terms = (*terms[:i], product, *terms[i:])
+        if len(terms) > 1:
+            base = self._intern("xor", terms, None)
+        else:
+            base = terms[0] if terms else self.false
         return self.not_(base) if parity else base
 
     def _xor(self, children: list[BoolExpr]) -> BoolExpr:
@@ -446,11 +491,18 @@ def init_state(c: FlatCircuit) -> FormulaState:
 def _run(value, gates: Iterable[McxGate], store: BoolStore) -> None:
     """Step `gates` over formulas indexed by gid, in a list or a dict: a
     QubitId hashes through Python code.  X has no controls: its
-    conjunction is `true`, and the xor negates."""
-    for g in gates:
-        conj = store.and_([value[c.gid] for c in g.controls])
-        t = g.target.gid
-        value[t] = store.xor([value[t], conj])
+    conjunction is `true`, and the xor negates.  Each step calls `and_`
+    and `xor`, bound once here, and nothing else, so the nodes and their
+    order are theirs, and a check wrapped around the two sees every step."""
+    and_, xor = store.and_, store.xor
+    for controls, target in gates:
+        if len(controls) == 2:  # a Toffoli: no list built per control
+            a, b = controls
+            conj = and_([value[a.gid], value[b.gid]])
+        else:
+            conj = and_([value[c.gid] for c in controls])
+        t = target.gid
+        value[t] = xor([value[t], conj])
 
 
 def apply_gate(s: FormulaState, g: McxGate) -> FormulaState:

@@ -19,6 +19,7 @@ from the parsed fragment.
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple
 
@@ -442,11 +443,14 @@ class _Elaborator:
             end = g0 + a * (stop + step)  # one stride past the last gid; -1 would wrap
             return qubits[g0 + a * start : end if end >= 0 else None : a * step]
 
+        # tuple.__new__ builds each McxGate in C; the namedtuple's own
+        # __new__ is Python code
+        make_gate = partial(tuple.__new__, McxGate)
         per_gate = []  # each gate of the body, over all iterations
         for ops in plan:
             cols = [column(g0, a) for g0, a in ops]
             controls = zip(*cols[:-1]) if len(cols) > 1 else repeat((), n)
-            per_gate.append(map(McxGate, controls, cols[-1]))
+            per_gate.append(map(make_gate, zip(controls, cols[-1])))
         self.gates += chain.from_iterable(zip(*per_gate))  # iteration by iteration
         return True
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 
 from qborrow.benchgen import adder_source, mcx_source
-from qborrow.boolform import BoolStore, cond_restore_plus, cond_restore_zero, track
-from qborrow.elaborator import elaborate_source
+from qborrow.boolform import BoolExpr, BoolStore, cond_restore_plus, cond_restore_zero, track
+from qborrow.elaborator import QubitId, elaborate_source
 
 from conftest import mutant_sources, store_nodes
 from test_rewrites import circuits
@@ -71,12 +71,12 @@ def test_kernels_build_the_general_store_on_mutants():
 
 
 @pytest.mark.parametrize(
-    "m, general_calls, entries", [(64, 124, 376), (256, 508, 1528), (1024, 2044, 6136)]
+    "m, factored, entries", [(64, 124, 376), (256, 508, 1528), (1024, 2044, 6136)]
 )
-def test_the_table_absorbs_the_repeated_steps_of_mcx(m, general_calls, entries):
+def test_the_table_absorbs_the_repeated_steps_of_mcx(m, factored, entries):
     c = elaborate_source(mcx_source(m))
-    calls = {"pairs": 0, "general": 0}
-    xor, general = BoolStore.xor, BoolStore._xor
+    calls = {"pairs": 0, "general": 0, "factored": 0}
+    xor, general, split = BoolStore.xor, BoolStore._xor, BoolStore._split
 
     def counted_xor(self, children):
         calls["pairs"] += len(children) == 2
@@ -86,15 +86,78 @@ def test_the_table_absorbs_the_repeated_steps_of_mcx(m, general_calls, entries):
         calls["general"] += 1
         return general(self, children)
 
+    def counted_split(self, x, y):
+        calls["factored"] += 1
+        return split(self, x, y)
+
     with (
         mock.patch.object(BoolStore, "xor", counted_xor),
         mock.patch.object(BoolStore, "_xor", counted_general),
+        mock.patch.object(BoolStore, "_split", counted_split),
     ):
         store = track(c).store
-    # one two-operand xor a gate; only the steps that factor and were not
-    # taken before reach the general loop
-    assert calls == {"pairs": len(c.gates), "general": general_calls}
+    # one two-operand xor a gate; the steps that factor and were not taken
+    # before are settled by `_xor_pair`, and none reaches the general loop,
+    # so every `_split` is a factoring step the kernel settled
+    assert calls == {"pairs": len(c.gates), "general": 0, "factored": factored}
     assert len(store._xor2) == entries <= calls["pairs"]
+
+
+# one xor step each, x XOR y with y sharing conjuncts with a term t of x:
+# (name, x, y, whether `_xor_pair` settles it).  W is an AND too wide to
+# flatten, so it stays one conjunct of a product
+FACTOR_STEPS = [
+    ("one term", "AND(v0, v1)", "AND(v0, v2)", True),
+    ("beside a term", "XOR(AND(v0, v1), v3)", "AND(v0, v2)", True),
+    ("negated", "NOT(XOR(AND(v0, v1), v3))", "NOT(AND(v0, v2))", True),
+    ("A a variable, B an XOR", "XOR(AND(v0, v1), v4)", "AND(v0, XOR(v2, v3))", True),
+    ("A XOR B is false", "XOR(AND(v0, W), v6)", "AND(v0, v1, v2, v3, v4, v5)", True),
+    ("the product is a not", "XOR(AND(NOT(v0), v1), v3)", "AND(NOT(v0), NOT(v1))", False),
+    ("the product is an XOR", "XOR(AND(XOR(v4, v5), v1), v3)", "AND(XOR(v4, v5), NOT(v1))", False),
+    ("the product cancels a term", "XOR(AND(W, v0), W)", "AND(W, NOT(v0))", False),
+    (
+        "the product shares a conjunct with a term",
+        "XOR(AND(v0, v1), AND(XOR(v1, v2), v3))",
+        "AND(v0, v2)",
+        False,
+    ),
+    ("A XOR B factors", "XOR(AND(v0, XOR(AND(v1, v2), v3)), v5)", "AND(v0, v1, v4)", False),
+    ("A and B are XORs", "AND(v0, XOR(v1, v2))", "AND(v0, XOR(v1, v3))", False),
+    ("y shares with two terms", "XOR(AND(v0, v1), AND(v2, v3))", "AND(v0, v2)", False),
+]
+
+
+def build(store: BoolStore, text: str) -> BoolExpr:
+    """The node of `text`, an expression over v0..v7 and W, through the
+    store's constructors."""
+    names = {f"v{i}": store.var(QubitId("v", i + 1, i, f"v{i + 1}")) for i in range(8)}
+    names["W"] = store.and_([names[f"v{i}"] for i in range(1, 6)])
+    names["AND"] = lambda *args: store.and_(list(args))
+    names["XOR"] = lambda *args: store.xor(list(args))
+    names["NOT"] = store.not_
+    return eval(text, {"__builtins__": {}}, names)
+
+
+@pytest.mark.parametrize(
+    "x, y, settled", [step[1:] for step in FACTOR_STEPS], ids=[step[0] for step in FACTOR_STEPS]
+)
+def test_the_factoring_kernel_builds_the_general_store(x, y, settled):
+    """One step on twin stores, through `xor` and through the general loop
+    `_xor`: equal listings, so the same nodes in the same order.  A step
+    the kernel does not settle reaches `_xor` from `xor`."""
+    kernel, general = BoolStore(), BoolStore()
+    operands = [[build(s, x), build(s, y)] for s in (kernel, general)]
+    general_loop, calls = BoolStore._xor, []
+
+    def counted(self, children):
+        calls.append(children)
+        return general_loop(self, children)
+
+    with mock.patch.object(BoolStore, "_xor", counted):
+        node = kernel.xor(operands[0])
+    assert node.serial == general._xor(operands[1]).serial
+    assert listing(kernel) == listing(general)
+    assert calls == ([] if settled else [operands[0]])
 
 
 def test_each_store_has_its_own_table():

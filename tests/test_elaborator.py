@@ -205,6 +205,14 @@ def interpreted(source: str):
         return outcome(source)
 
 
+def assert_gates_are_mcx(*outcomes) -> None:
+    # a NamedTuple equals a plain tuple of the same fields, so the equality
+    # checks alone would pass gates that lack .controls and .target
+    for result in outcomes:
+        if not isinstance(result, tuple):
+            assert all(type(g) is McxGate for g in result.gates)
+
+
 LEAVES = [
     *("i", "i", "i", "(i + 1)", "(i - 1)", "(6 - i)", "(2 * i)", "(i * j)", "(i * i)"),
     *("j", "k", "big", "0", "1", "2", "3", "7"),
@@ -250,7 +258,9 @@ def loop_programs(draw) -> str:
 @given(source=loop_programs(), steps=st.none() | st.integers(1, 80))
 def test_affine_unrolling_matches_the_interpreter(source, steps):
     with mock.patch.object(elaborator, "MAX_UNROLL_STEPS", steps or elaborator.MAX_UNROLL_STEPS):
-        assert outcome(source) == interpreted(source)
+        fast, slow = outcome(source), interpreted(source)
+    assert fast == slow
+    assert_gates_are_mcx(fast, slow)
 
 
 @pytest.mark.parametrize(
@@ -270,7 +280,9 @@ def test_benchmark_programs_unroll_as_interpreted(source):
     with mock.patch.object(elaborator._Elaborator, "unroll_affine", spy):
         fast = outcome(source)
     assert taken and all(taken)  # every loop of these programs takes the affine path
-    assert fast == interpreted(source)
+    slow = interpreted(source)
+    assert fast == slow
+    assert_gates_are_mcx(fast, slow)
 
 
 @pytest.mark.parametrize(
