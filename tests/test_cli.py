@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import shlex
 import stat
 import subprocess
@@ -322,6 +324,20 @@ def test_report_json_deterministic(qbr, tmp_path):
     assert byq["q1"]["status"] == "skipped"
 
 
+@pytest.mark.parametrize(
+    "name, src, code",
+    [("leaky", LEAKY_CCCNOT_SRC, EXIT_UNSAFE), ("cccnot", SAFE_CCCNOT_SRC, EXIT_SAFE)],
+)
+def test_report_bytes_match_the_golden_file(name, src, code, tmp_path, monkeypatch):
+    # pins key order, layout and number formats, which parsed comparisons do not;
+    # the timing fields are the only bytes that may vary, so they are set to 0
+    monkeypatch.chdir(tmp_path)
+    Path(f"{name}.qbr").write_text(src)
+    assert main(["verify", f"{name}.qbr", "--report", "r.json"]) == code
+    got = re.sub(rb'"(total_ms|solve_ms)": [0-9.e+-]+', rb'"\1": 0', Path("r.json").read_bytes())
+    assert got == (Path(__file__).parent / "golden" / f"{name}.report.json").read_bytes()
+
+
 def test_report_echoes_config(qbr, tmp_path):
     path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
     r = tmp_path / "r.json"
@@ -543,6 +559,19 @@ def test_verify_leaves_the_external_solver_modules_unloaded(qbr):
     )
     assert proc.returncode == EXIT_SAFE, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_console_script_entry_point_is_cli_main(capsys):
+    # install-free: pyproject's [project.scripts] entry resolves to main
+    tomllib = pytest.importorskip("tomllib")
+    with (Path(__file__).resolve().parent.parent / "pyproject.toml").open("rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["qborrow"]
+    module, _, attr = target.partition(":")
+    assert (module, attr) == ("qborrow.cli", "main")
+    assert getattr(importlib.import_module(module), attr) is main
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0 and capsys.readouterr().out == f"qborrow {qborrow.__version__}\n"
 
 
 def test_console_script_installed():
