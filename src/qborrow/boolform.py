@@ -34,7 +34,6 @@ on which path built it.
 """
 
 from bisect import bisect
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
@@ -465,12 +464,19 @@ def to_prefix(e: BoolExpr) -> str:
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class FormulaState:
     """The current b_q for every qubit of one circuit, in one shared store."""
 
-    store: BoolStore
-    formulas: dict[QubitId, BoolExpr]
+    __slots__ = ("store", "formulas")
+
+    def __init__(self, store: BoolStore, formulas: dict[QubitId, BoolExpr]):
+        self.store = store
+        self.formulas = formulas
+
+    def __eq__(self, other):
+        if type(other) is not FormulaState:
+            return NotImplemented
+        return (self.store, self.formulas) == (other.store, other.formulas)
 
     def __getitem__(self, q: QubitId) -> BoolExpr:
         return self.formulas[q]

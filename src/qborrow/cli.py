@@ -14,12 +14,10 @@ A malformed flag value is a usage error.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .benchgen import generate
 from .elaborator import elaborate_source
 from .errors import QborrowError, ResourceLimit, SelfCheckError, SourceError
 from .satcore import DEFAULT_BUDGET_CONFLICTS, DEFAULT_BUDGET_SECONDS
@@ -82,8 +80,8 @@ def cmd_verify(args) -> int:
         raise QborrowError(f"{args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     except SourceError as exc:
         raise QborrowError(f"{args.file}:{exc}")
-    for w in circuit.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    if circuit.warnings:  # one write: stderr may be unbuffered
+        sys.stderr.write("".join(f"warning: {w}\n" for w in circuit.warnings))
     report = verify_circuit(
         circuit,
         program=str(args.file),
@@ -102,6 +100,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .benchgen import generate  # gen and bench only: verify never loads it
+
     source = generate(args.kind, args.size)
     circuit = elaborate_source(source)  # fails only above the elaboration caps
     Path(args.out).write_text(source)
@@ -113,6 +113,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .benchgen import generate
+
     rows = []
     worst = EXIT_SAFE
     header = f"{'kind':<6} {'size':>6} {'qubits':>7} {'gates':>7} {'verdict':<10} {'verify_ms':>10}"
@@ -145,6 +147,8 @@ def cmd_bench(args) -> int:
             f"{verdict:<10} {report.total_ms:>10.1f}"
         )
     if args.report:
+        import json
+
         doc = {"version": __version__, "solver": args.solver, "rows": rows}
         Path(args.report).write_text(json.dumps(doc, indent=2) + "\n")
     return worst

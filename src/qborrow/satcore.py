@@ -8,7 +8,7 @@ against the source expression before being returned.
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .boolform import BoolExpr, _inputs, _postorder, evaluate
 from .elaborator import QubitId
@@ -19,16 +19,28 @@ DEFAULT_BUDGET_SECONDS = 600.0
 DEFAULT_MAX_CLAUSES = 10_000_000
 
 
-@dataclass
 class Cnf:
-    clauses: list[list[int]]
-    n_vars: int
-    var_map: dict[QubitId, int] = field(default_factory=dict)  # input vars only
-    source: BoolExpr | None = None
+    __slots__ = ("clauses", "n_vars", "var_map", "source")
+
+    def __init__(
+        self,
+        clauses: list[list[int]],
+        n_vars: int,
+        var_map: dict[QubitId, int] | None = None,  # input vars only; a new {} by default
+        source: BoolExpr | None = None,
+    ):
+        self.clauses = clauses
+        self.n_vars = n_vars
+        self.var_map = {} if var_map is None else var_map
+        self.source = source
+
+    def __eq__(self, other):
+        if type(other) is not Cnf:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in Cnf.__slots__)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str  # 'sat' | 'unsat'
     model: dict[QubitId, bool] | None = None  # input variables only
 

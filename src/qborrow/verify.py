@@ -12,13 +12,10 @@ budget that runs out means Unknown.  `cross_check` compares the decided
 verdicts with exhaustive enumeration (`exact_safe`), for `--oracle`.
 """
 
-import json
 import math
 import os
 import sys
-import tempfile
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -45,31 +42,72 @@ EXIT_DISAGREE = 4
 EXHAUSTIVE_CAP = 20
 
 
-@dataclass
 class Verdict:
-    qubit: str
-    status: str  # safe | unsafe | skipped | unknown
-    violated: str | None = None  # cond1 | cond2
-    witness: dict[str, bool] | None = None
-    budget: str | None = None
-    solve_ms: float = 0.0
-    formula_nodes: int = 0
-    cnf_vars: int = 0
-    cnf_clauses: int = 0
+    """One qubit's outcome; mutable, so a caller may replace its witness."""
+
+    __slots__ = (
+        "qubit", "status", "violated", "witness", "budget",
+        "solve_ms", "formula_nodes", "cnf_vars", "cnf_clauses",
+    )
+
+    def __init__(
+        self,
+        qubit: str,
+        status: str,  # safe | unsafe | skipped | unknown
+        violated: str | None = None,  # cond1 | cond2
+        witness: dict[str, bool] | None = None,
+        budget: str | None = None,
+        solve_ms: float = 0.0,
+        formula_nodes: int = 0,
+        cnf_vars: int = 0,
+        cnf_clauses: int = 0,
+    ):
+        self.qubit = qubit
+        self.status = status
+        self.violated = violated
+        self.witness = witness
+        self.budget = budget
+        self.solve_ms = solve_ms
+        self.formula_nodes = formula_nodes
+        self.cnf_vars = cnf_vars
+        self.cnf_clauses = cnf_clauses
+
+    def __eq__(self, other):
+        if type(other) is not Verdict:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in Verdict.__slots__)
 
     def to_dict(self):
-        return asdict(self) | {"solve_ms": round(self.solve_ms, 3)}
+        doc = {k: getattr(self, k) for k in Verdict.__slots__}
+        doc["solve_ms"] = round(self.solve_ms, 3)
+        return doc
 
 
-@dataclass
 class Report:
-    program: str
-    n_qubits: int
-    n_gates: int
-    verdicts: list[Verdict] = field(default_factory=list)
-    total_ms: float = 0.0
-    version: str = __version__
-    config: dict = field(default_factory=dict)
+    __slots__ = ("program", "n_qubits", "n_gates", "verdicts", "total_ms", "version", "config")
+
+    def __init__(
+        self,
+        program: str,
+        n_qubits: int,
+        n_gates: int,
+        verdicts: list[Verdict] | None = None,  # a new [] by default
+        total_ms: float = 0.0,
+        version: str = __version__,
+        config: dict | None = None,  # a new {} by default
+    ):
+        self.program = program
+        self.n_qubits = n_qubits
+        self.n_gates = n_gates
+        self.verdicts = [] if verdicts is None else verdicts
+        self.total_ms = total_ms
+        self.version = version
+        self.config = {} if config is None else config
+
+    def __eq__(self, other):
+        if type(other) is not Report:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in Report.__slots__)
 
     def to_dict(self):
         return {
@@ -83,6 +121,8 @@ class Report:
         }
 
     def to_json(self) -> str:
+        import json  # only a run that writes a report needs it
+
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
@@ -145,6 +185,8 @@ def _decide_external(
     script path the script goes to a temporary file, removed afterwards."""
     if script_path is not None:
         return _run_solver(cmd + [str(script_path)], budget_seconds)
+    import tempfile  # only here, like the modules _run_solver imports
+
     tmp = tempfile.NamedTemporaryFile(mode="w", suffix=".smt2", delete=False, prefix="qborrow.")
     try:
         with tmp:

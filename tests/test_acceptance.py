@@ -33,17 +33,8 @@ from qborrow import (
 )
 from qborrow.benchgen import adder_source, mcx_source
 from qborrow.cli import cross_check, verify_circuit
-from qborrow.elaborator import (
-    BorrowBlock,
-    IfMeasure,
-    Init,
-    QubitId,
-    Skip,
-    Unitary,
-    WhileMeasure,
-    idle,
-    seq,
-)
+from qborrow.elaborator import QubitId
+from qborrow.idle import BorrowBlock, IfMeasure, Init, Skip, Unitary, WhileMeasure, idle, seq
 from qborrow.oracle import (
     FIVE_STATES,
     STATE_PLUS,

@@ -402,6 +402,22 @@ def test_exit_code_mapping():
     assert EXIT_DISAGREE == 4
 
 
+def test_records_compare_by_value_and_get_fresh_defaults():
+    from qborrow.boolform import BoolStore, FormulaState
+    from qborrow.satcore import Cnf
+
+    assert Verdict("q", "safe") == Verdict("q", "safe", None, None, None, 0.0, 0, 0, 0)
+    assert Verdict("q", "safe") != Verdict("q", "safe", cnf_vars=1)
+    a, b = Report("p", 1, 1), Report("p", 1, 1)
+    assert a == b and a.verdicts == [] and a.config == {}
+    assert a.verdicts is not b.verdicts and a.config is not b.config
+    assert a != Report("p", 1, 1, [Verdict("q", "safe")])
+    assert Cnf([[1]], 1) == Cnf([[1]], 1, {}, None) != Cnf([[1]], 2)
+    assert Cnf([], 0).var_map is not Cnf([], 0).var_map
+    store = BoolStore()
+    assert FormulaState(store, {}) == FormulaState(store, {}) != FormulaState(BoolStore(), {})
+
+
 # --------------------------------------------------------------------------
 # bench
 
@@ -544,21 +560,74 @@ def test_import_leaves_numpy_unloaded(qbr):
         assert proc.returncode == expected, proc.stderr
 
 
-def test_verify_leaves_the_external_solver_modules_unloaded(qbr):
-    # only `cmd:` solvers run a subprocess; count what the interpreter had not loaded itself
+def _loaded_by_verify(argv, watched, *flags):
+    """Run `main(argv)` in a fresh interpreter started with `flags`; return
+    its exit code and which `watched` modules it loaded that the interpreter
+    had not loaded itself."""
     src = str(Path(qborrow.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys; before = set(sys.modules); from qborrow.cli import main; "
-        "code = main(sys.argv[1:]); loaded = set(sys.modules) - before; "
-        "print(sorted(loaded & {'shlex', 'signal', 'subprocess'})); sys.exit(code)"
+        "code = main(sys.argv[2:]); loaded = set(sys.modules) - before; "
+        "print(sorted(loaded & set(sys.argv[1].split(',')))); sys.exit(code)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, "verify", qbr("safe.qbr", SAFE_CCCNOT_SRC)],
+        [sys.executable, *flags, "-c", code, ",".join(watched), *argv],
         capture_output=True, text=True, env=env,
     )
-    assert proc.returncode == EXIT_SAFE, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, proc.stdout.splitlines()[-1]
+
+
+def test_verify_leaves_the_external_solver_modules_unloaded(qbr, tmp_path):
+    # only `cmd:` solvers run a subprocess, only reports need json, and
+    # benchgen, the idle analysis and the numpy oracle are not verify's
+    watched = (
+        "shlex", "signal", "subprocess", "json",
+        "qborrow.benchgen", "qborrow.idle", "qborrow.oracle", "numpy",
+    )
+    safe = qbr("safe.qbr", SAFE_CCCNOT_SRC)
+    assert _loaded_by_verify(["verify", safe], watched) == (EXIT_SAFE, "[]")
+    report = tmp_path / "r.json"
+    assert _loaded_by_verify(["verify", safe, "--report", str(report)], watched) == (
+        EXIT_SAFE,
+        "['json']",
+    )
+    assert json.loads(report.read_text())["verdicts"][0]["status"] == "safe"
+
+
+def test_verify_leaves_tempfile_unloaded(qbr):
+    # only a cmd: solver without an emit directory writes a temporary
+    # script; -S keeps site from loading tempfile first
+    leaky = qbr("leaky.qbr", LEAKY_CCCNOT_SRC)
+    assert _loaded_by_verify(["verify", leaky], ["tempfile"], "-S") == (EXIT_UNSAFE, "[]")
+    shim = "cmd:" + shlex.join(SHIM)
+    assert _loaded_by_verify(["verify", leaky, "--solver", shim], ["tempfile"], "-S") == (
+        EXIT_UNSAFE,
+        "['tempfile']",
+    )
+
+
+def test_only_the_parse_types_and_qubit_ids_are_dataclasses():
+    # the types built once per token, AST node and qubit stay dataclasses;
+    # every other record the CLI loads is a NamedTuple or a slotted class
+    src = str(Path(qborrow.__file__).resolve().parent.parent)
+    code = (
+        "import dataclasses, sys, qborrow.cli\n"
+        "for name, m in sorted(sys.modules.items()):\n"
+        "    for v in vars(m).values() if name.startswith('qborrow.') else ():\n"
+        "        if isinstance(v, type) and v.__module__ == name:\n"
+        "            if dataclasses.is_dataclass(v):\n"
+        "                print(name, v.__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    ast = "Num Name Neg BinOp RegRef Let Declare Release GateStmt For ProgramAst".split()
+    expected = {("qborrow.frontend", c) for c in ["Token", *ast]}
+    expected.add(("qborrow.elaborator", "QubitId"))
+    got = [tuple(line.split()) for line in proc.stdout.splitlines()]
+    assert len(got) == len(expected) == 13 and set(got) == expected
 
 
 def test_console_script_entry_point_is_cli_main(capsys):

@@ -9,29 +9,21 @@ from qborrow import elaborate_source, elaborator
 from qborrow.benchgen import adder_source, mcx_source
 from qborrow.elaborator import (
     ArithmeticOverflow,
-    BorrowBlock,
     DuplicateOperand,
     ElabError,
     ElabLimitExceeded,
-    IfMeasure,
     IndexOutOfRange,
-    Init,
     McxGate,
     NonPositiveSize,
     QubitRole,
     RedeclaredRegister,
     RedefinedName,
-    Seq,
-    Skip,
     UnboundIdentifier,
-    Unitary,
     UseAfterRelease,
-    WhileMeasure,
     dump_gates,
-    idle,
     loop_range,
-    seq,
 )
+from qborrow.idle import BorrowBlock, IfMeasure, Init, Seq, Skip, Unitary, WhileMeasure, idle, seq
 
 from conftest import LEAKY_CCCNOT_SRC, SAFE_CCCNOT_SRC, flat_source
 
