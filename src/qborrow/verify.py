@@ -185,7 +185,7 @@ def _decide_external(
     script path the script goes to a temporary file, removed afterwards."""
     if script_path is not None:
         return _run_solver(cmd + [str(script_path)], budget_seconds)
-    import tempfile  # only here, like the modules _run_solver imports
+    import tempfile  # only a cmd: solver without a script path needs it
 
     tmp = tempfile.NamedTemporaryFile(mode="w", suffix=".smt2", delete=False, prefix="qborrow.")
     try:
