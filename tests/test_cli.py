@@ -327,6 +327,7 @@ def test_report_json_deterministic(qbr, tmp_path):
 @pytest.mark.parametrize(
     "name, src, code",
     [("leaky", LEAKY_CCCNOT_SRC, EXIT_UNSAFE), ("cccnot", SAFE_CCCNOT_SRC, EXIT_SAFE)],
+    ids=["leaky", "cccnot"],
 )
 def test_report_bytes_match_the_golden_file(name, src, code, tmp_path, monkeypatch):
     # pins key order, layout and number formats, which parsed comparisons do not;
