@@ -26,11 +26,11 @@ A gate step is a two-operand AND and a two-operand XOR, which `and_` and
 `xor` settle directly, and `xor` keeps a computed table of its two-operand
 results (Brace, Rudell & Bryant, DAC 1990), so a step repeated on the same
 operands is one lookup.  A step that factors with one term of its target is
-settled too, by the general loop's own calls in its order; a step that
-factors more than once, or an X gate's `true`, goes through the general
-loop.  Every path gives the node the general loop gives and makes the
-nodes it makes in the same order, so the DAG and its serials do not depend
-on which path built it.
+settled too, by the general loop's own calls in its order, and so is an
+X gate's step, x XOR true, which is NOT x; a step that factors more than
+once goes through the general loop.  Every path gives the node the general
+loop gives and makes the nodes it makes in the same order, so the DAG and
+its serials do not depend on which path built it.
 """
 
 from bisect import bisect
@@ -196,7 +196,7 @@ class BoolStore:
         """x XOR y when it is a gate's step: two equal operands, a term that
         cancels from an XOR, a term that shares no conjunct with x, or (with
         `factor`) a term y that shares conjuncts with exactly one term t of
-        x, factored once; None otherwise, without recursing.
+        x, factored once, or y `true`; None otherwise, without recursing.
 
         Makes the nodes `_xor` makes, and no other, in the same order.  The
         general loop keeps x's terms (no two share a conjunct) until it
@@ -209,7 +209,12 @@ class BoolStore:
         own A XOR B makes; it inserts the product only where the loop keeps
         it.  On any other shape it returns None after those calls, and
         `_xor` makes them again: each node they made is already interned,
-        so the loop finds it and makes the rest in its own order."""
+        so the loop finds it and makes the rest in its own order.
+
+        An X gate's step, x XOR true, is `not_(x)`: the loop keeps the
+        terms of x, which share no conjunct, and so rebuilds x."""
+        if y is self.true:
+            return self.not_(x)
         parity = 0
         if x.op == "not":  # not_ never nests a negation
             parity, x = 1, x.args[0]
@@ -530,6 +535,27 @@ def track(c: FlatCircuit) -> FormulaState:
 # --------------------------------------------------------------------------
 # Safety conditions
 # --------------------------------------------------------------------------
+
+
+def restored_gids(s: FormulaState, qubits: Iterable[QubitId]) -> set[int]:
+    """The gids of those of `qubits` whose output is their own variable and
+    whose variable no other output holds: both conditions of such a qubit
+    fold to `false`.  One pass ORs the supports of the outputs that are not
+    their own variable, and gives a variable output its support bit, so a
+    moved variable counts as held."""
+    bit = s.store._bit
+    held = 0
+    for q, b in s.formulas.items():
+        if b.op != "var":
+            held |= b.supp
+        elif b.qubit is not q:
+            held |= bit(b)
+    restored = set()
+    for q in qubits:
+        b = s[q]
+        if b.op == "var" and b.qubit is q and not b.supp & held:
+            restored.add(q.gid)
+    return restored
 
 
 def cond_restore_zero(q: QubitId, s: FormulaState) -> BoolExpr:

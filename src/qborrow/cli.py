@@ -45,30 +45,35 @@ from .verify import witness_violates  # noqa: F401
 
 
 def _print_verify(report: Report):
+    """One line per verdict and a summary, in one pass and one write."""
     lines = []
+    safe = unsafe = skipped = 0
     for v in report.verdicts:
-        if v.status == "safe":
-            extra = f"({v.formula_nodes} nodes, {v.cnf_vars} vars, {v.cnf_clauses} clauses, {v.solve_ms:.1f} ms)"
-            lines.append(f"{v.qubit}: Safe {extra}")
-        elif v.status == "unsafe":
+        status = v.status
+        if status == "safe":
+            safe += 1
+            lines.append(
+                f"{v.qubit}: Safe ({v.formula_nodes} nodes, {v.cnf_vars} vars, "
+                f"{v.cnf_clauses} clauses, {v.solve_ms:.1f} ms)"
+            )
+        elif status == "unsafe":
+            unsafe += 1
             w = ""
             if v.witness is not None:
                 bits = ", ".join(f"{k}={int(b)}" for k, b in sorted(v.witness.items()))
                 w = f", witness {{{bits}}}"
             lines.append(f"{v.qubit}: Unsafe via {v.violated}{w}")
-        elif v.status == "skipped":
+        elif status == "skipped":
+            skipped += 1
             lines.append(f"{v.qubit}: Skipped")
         else:
             lines.append(f"{v.qubit}: Unknown (budget: {v.budget})")
-    counts = {s: 0 for s in ("safe", "unsafe", "skipped", "unknown")}
-    for v in report.verdicts:
-        counts[v.status] += 1
+    unknown = len(report.verdicts) - safe - unsafe - skipped
     lines.append(
-        f"{counts['safe']} safe, {counts['unsafe']} unsafe, "
-        f"{counts['skipped']} skipped, {counts['unknown']} unknown "
-        f"in {report.total_ms:.1f} ms"
+        f"{safe} safe, {unsafe} unsafe, {skipped} skipped, {unknown} unknown "
+        f"in {report.total_ms:.1f} ms\n"
     )
-    print("\n".join(lines))
+    sys.stdout.write("\n".join(lines))
 
 
 def cmd_verify(args) -> int:

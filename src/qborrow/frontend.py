@@ -89,8 +89,10 @@ def tokenize(source: str) -> list[Token]:
         if kind == "word":
             kind = "keyword" if text in KEYWORDS else "identifier"
         elif kind == "number":
-            if int(text) > INT64_MAX:
-                raise LexError(line, col, f"integer literal {text} exceeds 64-bit range")
+            if len(text) > 18:  # int() refuses over 4300 digits: count them first
+                digits = text.lstrip("0")  # leading zeros are legal
+                if len(digits) > 19 or (len(digits) == 19 and int(digits) > INT64_MAX):
+                    raise LexError(line, col, f"integer literal {text} exceeds 64-bit range")
         elif kind == "open":
             raise UnterminatedComment(line, col, "unterminated '/*' comment")
         elif kind == "bad":
@@ -337,7 +339,11 @@ class _Parser:
             raise self.error(("number", "identifier", "'('"))
         if tok.kind == "number":
             self.pos += 1
-            return Num(int(tok.lexeme), tok.loc)
+            try:
+                value = int(tok.lexeme)
+            except ValueError:  # over 4300 digits, at most 19 of them not leading zeros
+                value = int(tok.lexeme.lstrip("0") or "0")
+            return Num(value, tok.loc)
         if tok.kind == "identifier":
             self.pos += 1
             return Name(tok.lexeme, tok.loc)

@@ -6,7 +6,10 @@ formulas, write it when an emit directory is given, decide it with the
 internal CDCL solver or an external SMT-LIB2 solver, and fold the outcome
 into the qubit's verdict, built as one `Verdict` when the qubit is settled.
 A condition that folded to `false` is unsat without a solver call, unless
-the solver is external.  The first satisfiable condition means Unsafe,
+the solver is external.  So with the internal solver and no emit directory,
+a qubit that `restored_gids` names (its output is its own variable, which
+no other output holds) gets the verdict of two folded conditions without
+either being built.  The first satisfiable condition means Unsafe,
 and cond2 is then built only to be written; both unsatisfiable means Safe; a
 budget that runs out means Unknown.  `cross_check` compares the decided
 verdicts with exhaustive enumeration (`exact_safe`), for `--oracle`.
@@ -19,7 +22,14 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .boolform import BoolExpr, cond_restore_plus, cond_restore_zero, count_nodes, track
+from .boolform import (
+    BoolExpr,
+    cond_restore_plus,
+    cond_restore_zero,
+    count_nodes,
+    restored_gids,
+    track,
+)
 from .elaborator import FlatCircuit, QubitId, QubitRole, simulate
 from .errors import ResourceLimit, SelfCheckError, UsageError
 from .satcore import (
@@ -320,8 +330,16 @@ def verify_circuit(
                 d.mkdir(parents=True, exist_ok=True)
     # the layers are looked up per call, so wrappers set on this module see them
     conds = (("cond1", cond_restore_zero), ("cond2", cond_restore_plus))
+    # both conditions of a restored qubit fold to false, which the internal
+    # solver answers without a call, so neither is built; an external
+    # solver and an emit directory are still given both
+    verified = circuit.verify_qubits()
+    restored = restored_gids(state, verified) if external is None and not emitting else ()
     verdicts = []
-    for q in circuit.verify_qubits():
+    for q in verified:
+        if q.gid in restored:  # the verdict of two folded conditions
+            verdicts.append(Verdict(q.label, "safe", None, None, None, 0.0, 2, 0, 2))
+            continue
         status, violated, witness, budget = "safe", None, None, None
         solve_ms, nodes, n_vars, n_clauses = 0.0, 0, 0, 0
         for name, build in conds:

@@ -22,11 +22,12 @@ from qborrow import (
     variables,
 )
 from qborrow.benchgen import mcx_source
-from qborrow.boolform import FormulaState
+from qborrow.boolform import FormulaState, restored_gids
 from qborrow.elaborator import QubitId, apply_classical
 from qborrow.errors import ResourceLimit
 
 from conftest import ring_source, store_nodes
+from test_rewrites import circuits
 
 V = [QubitId("v", i + 1, i, f"v{i+1}") for i in range(8)]
 
@@ -533,3 +534,36 @@ def test_cnot_makes_control_unsafe():
     cond2 = cond_restore_plus(d1, state)
     # b_d2 = d2 xor d1 depends on d1; delta is constant true
     assert cond2 is state.store.true
+
+
+def test_restored_gids_names_the_qubits_left_as_their_own_variable():
+    # d[1] is never used; d[2] is flipped; d[3] is held by the output of
+    # d[4], which is not its own variable; a and b are swapped
+    c = elaborate_source(
+        "borrow d[4];\nborrow a;\nborrow b;\nX[d[2]];\nCNOT[d[3], d[4]];\n"
+        "CNOT[a, b];\nCNOT[b, a];\nCNOT[a, b];"
+    )
+    assert restored_gids(track(c), c.qubits) == {c.qubit("d", 1).gid}
+
+
+def test_restored_gids_counts_a_moved_variable_as_held():
+    # built by hand: p's output is q's variable, which no node holds, so
+    # it has no support bit until the sweep gives it one
+    c = elaborate_source("borrow q;\nborrow p;")
+    q, p = c.qubits
+    s = BoolStore()
+    state = FormulaState(s, {q: s.var(q), p: s.var(q)})
+    assert restored_gids(state, c.qubits) == set()
+    assert cond_restore_plus(q, state) is s.true
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_both_conditions_of_a_restored_qubit_fold_to_false(source):
+    c = elaborate_source(source)
+    state = track(c)
+    restored = restored_gids(state, c.qubits)
+    for q in c.qubits:
+        if q.gid in restored:
+            assert cond_restore_zero(q, state) is state.store.false
+            assert cond_restore_plus(q, state) is state.store.false

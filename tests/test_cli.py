@@ -510,6 +510,17 @@ def test_deep_nesting_exits_2(source, tmp_path):
     assert "levels of nesting" in proc.stderr
 
 
+def test_literal_over_the_int_string_limit_exits_2(tmp_path):
+    # Python's int() refuses strings of over 4300 digits
+    (tmp_path / "big.qbr").write_text("let n = " + "9" * 5000 + ";\n")
+    proc = run_cli(["verify", "big.qbr"], cwd=tmp_path)
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == proc.stderr.count("error:") == 1, proc.stderr
+    assert proc.stderr.startswith("error: big.qbr:1:9: integer literal 999")
+    assert proc.stderr.endswith("999 exceeds 64-bit range\n")
+
+
 def test_source_that_is_not_utf8_exits_2(tmp_path):
     (tmp_path / "latin1.qbr").write_bytes(b"borrow a;\n// caf\xe9\nX[a];\n")
     proc = run_cli(["verify", "latin1.qbr"], cwd=tmp_path)

@@ -52,6 +52,43 @@ def test_kernels_build_the_general_store_on_random_circuits(source):
     assert tracked(source) == tracked_generally(source)
 
 
+def x_steps_in_the_general_loop(source: str) -> tuple[int, int]:
+    """The X gates of `source`, and the tracking steps x XOR true that
+    reach the general loop `_xor`."""
+    c = elaborate_source(source)
+    general, calls = BoolStore._xor, []
+
+    def counted(self, children):
+        calls.append(children[-1] is self.true)
+        return general(self, children)
+
+    with mock.patch.object(BoolStore, "_xor", counted):
+        track(c)
+    return sum(not g.controls for g in c.gates), sum(calls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits().filter(lambda source: "\nX[" in source))
+def test_the_kernel_settles_x_steps_on_random_circuits(source):
+    # drawn gate lists with at least one X gate: its step x XOR true is
+    # NOT x, the node the general loop builds
+    assert tracked(source) == tracked_generally(source)
+    n_x, in_loop = x_steps_in_the_general_loop(source)
+    assert n_x and not in_loop
+
+
+ADDERS = {
+    "adder12": adder_source(12),
+    **{f"adder8-del{i}": m for i, m in enumerate(mutant_sources(adder_source(8))[:8])},
+}
+
+
+@pytest.mark.parametrize("source", ADDERS.values(), ids=ADDERS.keys())
+def test_no_x_step_of_an_adder_reaches_the_general_loop(source):
+    n_x, in_loop = x_steps_in_the_general_loop(source)
+    assert n_x and not in_loop
+
+
 PROGRAMS = {
     **{f"adder{n}": adder_source(n) for n in range(3, 65)},
     **{f"mcx{m}": mcx_source(m) for m in (*range(4, 20), *range(20, 257, 12), 256)},

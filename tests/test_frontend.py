@@ -139,6 +139,23 @@ def test_int64_literal_limit():
         tokenize("let a = 9223372036854775808;")
 
 
+@pytest.mark.parametrize(
+    "digits",
+    ["1" + "0" * 19, "9" * 5000, "0" * 4990 + "9223372036854775808"],
+    ids=["20-digits", "5000-digits", "leading-zeros"],
+)
+def test_long_literals_fail_with_a_located_lex_error(digits):
+    # int() refuses strings of over 4300 digits, so the length goes first
+    with pytest.raises(LexError, match=r"^1:9: integer literal \d+ exceeds 64-bit range$"):
+        tokenize(f"let a = {digits};")
+
+
+def test_leading_zeros_do_not_count_towards_the_literal_limit():
+    for digits in ("0" * 5000 + "9223372036854775807", "0" * 5000, "007"):
+        program = parse_source(f"let a = {digits};")
+        assert program == parse_source(f"let a = {int(digits.lstrip('0') or '0')};")
+
+
 def test_unexpected_character():
     with pytest.raises(LexError, match=r"1:7.*'\$'"):
         tokenize("let a $ 1;")

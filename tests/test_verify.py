@@ -3,6 +3,7 @@ decides cond1 then cond2; budgets, size caps and self-checks end in their
 documented exit codes."""
 
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -10,16 +11,18 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import qborrow
 from qborrow import boolform, elaborate_source, satcore, verify
-from qborrow.benchgen import adder_source
+from qborrow.benchgen import adder_source, mcx_source
 from qborrow.boolform import BoolExpr, BoolStore
 from qborrow.cli import main
 from qborrow.errors import SelfCheckError
 from qborrow.verify import EXIT_DISAGREE, EXIT_SAFE, EXIT_UNKNOWN, EXIT_UNSAFE, verify_circuit
 
-from conftest import LEAKY_CCCNOT_SRC, SAFE_CCCNOT_SRC, mutant_sources, ring_source
+from conftest import LEAKY_CCCNOT_SRC, SAFE_CCCNOT_SRC, SHIM, mutant_sources, ring_source
+from test_rewrites import circuits
 
 FLIP_SRC = "borrow a;\nX[a];\nrelease a;\n"
 
@@ -81,25 +84,96 @@ def test_cond2_is_built_only_when_decided_or_written(monkeypatch, tmp_path, emit
         assert sorted(p.name for p in d.iterdir()) == ["flip.a.cond1.smt2", "flip.a.cond2.smt2"]
 
 
-@pytest.mark.parametrize("emit, calls", [(False, 17), (True, 18)])
-def test_each_condition_is_encoded_once(monkeypatch, tmp_path, emit, calls):
-    # adder n=10 without gate 1: 17 decided conditions, and one cond2 that
-    # is only written; the .cnf writer and the solver share one encoding,
-    # and a condition that folds to false needs one only to be written
+ENCODE_ONCE_PROGRAMS = {
+    "adder10-del1": mutant_sources(adder_source(10))[1],
+    "leaky": LEAKY_CCCNOT_SRC,
+}
+
+
+@pytest.mark.parametrize(
+    "program, emit, calls, folded",
+    [
+        pytest.param("adder10-del1", False, 1, 0, id="adder10-del1"),
+        pytest.param("adder10-del1", True, 18, 17, id="adder10-del1-emit"),
+        pytest.param("leaky", False, 2, 1, id="leaky"),
+        pytest.param("leaky", True, 2, 1, id="leaky-emit"),
+    ],
+)
+def test_each_condition_is_encoded_once(monkeypatch, tmp_path, program, emit, calls, folded):
+    # adder n=10 without gate 1: the support sweep decides its eight
+    # restored qubits, so only cond1 of a.9 is built, and decided sat;
+    # written, all 18 conditions are built, cond2 of a.9 only to be
+    # written.  leaky: cond1 of a folds to false and cond2 is decided.
+    # The .cnf writer and the solver share one encoding, and a condition
+    # that folds to false needs one only to be written
     original, encoded, built = verify.tseitin, [], []
     monkeypatch.setattr(verify, "tseitin", lambda e: encoded.append(e) or original(e))
     for name in ("cond_restore_zero", "cond_restore_plus"):
         build = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda q, s, b=build: built.append(b(q, s)) or built[-1])
-    path = tmp_path / "mutant.qbr"
-    path.write_text(mutant_sources(adder_source(10))[1])
+    path = tmp_path / f"{program}.qbr"
+    path.write_text(ENCODE_ONCE_PROGRAMS[program])
     args = ["verify", str(path)] + (["--emit-dimacs", str(tmp_path / "d")] if emit else [])
     assert main(args) == EXIT_UNSAFE
     assert len(built) == calls
-    folded = [e for e in built if e.op == "false"]
-    assert folded and len(encoded) == calls - (0 if emit else len(folded))
-    formulas = [e for e in encoded if e.args]  # every constant is one node
+    assert sum(e.op == "false" for e in built) == folded
+    assert len(encoded) == calls - (0 if emit else folded)
+    formulas = [e for e in encoded if e.op not in ("false", "true")]
     assert formulas and len(set(formulas)) == len(formulas)
+
+
+RESTORED_PROGRAMS = {
+    "adder64": adder_source(64),
+    "mcx64": mcx_source(64),
+    "leaky": LEAKY_CCCNOT_SRC,
+    "cccnot": SAFE_CCCNOT_SRC,
+}
+
+
+SHIM_SOLVER = "cmd:" + shlex.join(SHIM)
+
+
+@pytest.mark.parametrize(
+    "program, solver, emit, code, builds",
+    [
+        ("adder64", "internal", False, EXIT_SAFE, False),
+        ("mcx64", "internal", False, EXIT_SAFE, False),
+        ("leaky", "internal", False, EXIT_UNSAFE, True),  # a keeps its value, but q5 depends on it
+        ("adder64", "internal", True, EXIT_SAFE, True),
+        ("cccnot", SHIM_SOLVER, False, EXIT_SAFE, True),
+    ],
+    ids=["adder64", "mcx64", "leaky", "adder64-emit", "cccnot-cmd"],
+)
+def test_the_support_sweep_decides_restored_qubits_unbuilt(
+    monkeypatch, tmp_path, program, solver, emit, code, builds
+):
+    # with the internal solver and no emit directory, a restored qubit is
+    # decided by `restored_gids` as its two folded conditions would be;
+    # an external solver and an emit directory still get both
+    calls = {"cond_restore_zero": [], "cond_restore_plus": []}
+    for name, log in calls.items():
+        build = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda q, s, b=build, log=log: log.append(q) or b(q, s))
+    path = tmp_path / f"{program}.qbr"
+    path.write_text(RESTORED_PROGRAMS[program])
+    args = ["verify", str(path), "--solver", solver]
+    assert main(args + (["--emit-smtlib", str(tmp_path / "smt")] if emit else [])) == code
+    verified = elaborate_source(RESTORED_PROGRAMS[program]).verify_qubits()
+    assert verified
+    assert calls == dict.fromkeys(calls, verified if builds else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits())
+def test_a_restored_qubit_gets_the_verdict_of_its_folded_conditions(source):
+    c = elaborate_source(source)
+    swept = verify_circuit(c).verdicts
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "restored_gids", lambda state, qubits: set())
+        built = verify_circuit(c).verdicts
+    for v in swept + built:
+        v.solve_ms = 0.0  # timing aside
+    assert swept == built
 
 
 def test_constant_conditions_are_decided_without_search(monkeypatch):
