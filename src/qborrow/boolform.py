@@ -196,7 +196,7 @@ class BoolStore:
         """x XOR y when it is a gate's step: two equal operands, a term that
         cancels from an XOR, a term that shares no conjunct with x, or (with
         `factor`) a term y that shares conjuncts with exactly one term t of
-        x, factored once, or y `true`; None otherwise, without recursing.
+        x, factored once, or a constant; None otherwise, without recursing.
 
         Makes the nodes `_xor` makes, and no other, in the same order.  The
         general loop keeps x's terms (no two share a conjunct) until it
@@ -211,8 +211,8 @@ class BoolStore:
         `_xor` makes them again: each node they made is already interned,
         so the loop finds it and makes the rest in its own order.
 
-        An X gate's step, x XOR true, is `not_(x)`: the loop keeps the
-        terms of x, which share no conjunct, and so rebuilds x."""
+        A step with a constant (an X gate's x XOR true, a cofactored step) is
+        x or `not_(x)`: the loop keeps the terms of x, which share no conjunct."""
         if y is self.true:
             return self.not_(x)
         parity = 0
@@ -223,6 +223,10 @@ class BoolStore:
         if x is y:
             return self.true if parity else self.false
         if y.op not in ("var", "and") or x.op not in ("var", "and", "xor"):
+            if x.op in ("false", "true"):  # a cofactored operand, on either side
+                x, y = y, x
+            if y.op in ("false", "true"):  # false XOR x is x, true XOR x is not x
+                return self.not_(x) if parity ^ (y is self.true) else x
             return None
         terms = x.args if x.op == "xor" else (x,)
         if y in terms:  # x is an XOR and y one of its terms

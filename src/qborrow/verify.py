@@ -6,10 +6,9 @@ formulas, write it when an emit directory is given, decide it with the
 internal CDCL solver or an external SMT-LIB2 solver, and fold the outcome
 into the qubit's verdict, built as one `Verdict` when the qubit is settled.
 A condition that folded to `false` is unsat without a solver call, unless
-the solver is external.  So with the internal solver and no emit directory,
-a qubit that `restored_gids` names (its output is its own variable, which
-no other output holds) gets the verdict of two folded conditions without
-either being built.  The first satisfiable condition means Unsafe,
+the solver is external.  Both conditions of a qubit that `restored_gids`
+names (its output is its own variable, which no other output holds) are
+`false` without being built.  The first satisfiable condition means Unsafe,
 and cond2 is then built only to be written; both unsatisfiable means Safe; a
 budget that runs out means Unknown.  `cross_check` compares the decided
 verdicts with exhaustive enumeration (`exact_safe`), for `--oracle`.
@@ -330,22 +329,16 @@ def verify_circuit(
                 d.mkdir(parents=True, exist_ok=True)
     # the layers are looked up per call, so wrappers set on this module see them
     conds = (("cond1", cond_restore_zero), ("cond2", cond_restore_plus))
-    # both conditions of a restored qubit fold to false, which the internal
-    # solver answers without a call, so neither is built; an external
-    # solver and an emit directory are still given both
     verified = circuit.verify_qubits()
-    restored = restored_gids(state, verified) if external is None and not emitting else ()
+    restored = restored_gids(state, verified)  # both conditions fold to false
     verdicts = []
     for q in verified:
-        if q.gid in restored:  # the verdict of two folded conditions
-            verdicts.append(Verdict(q.label, "safe", None, None, None, 0.0, 2, 0, 2))
-            continue
         status, violated, witness, budget = "safe", None, None, None
         solve_ms, nodes, n_vars, n_clauses = 0.0, 0, 0, 0
         for name, build in conds:
             if status == "unsafe" and not emitting:  # settled by cond1
                 break
-            e = build(q, state)
+            e = state.store.false if q.gid in restored else build(q, state)
             encoded = script = None  # the Tseitin encoding and .smt2 file written
             if emitting:
                 base = f"{stem}.{q.label}.{name}"

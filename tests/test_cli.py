@@ -1,7 +1,9 @@
 import importlib
 import json
 import os
+import pkgutil
 import re
+import runpy
 import shlex
 import stat
 import subprocess
@@ -653,6 +655,24 @@ def test_console_script_entry_point_is_cli_main(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0 and capsys.readouterr().out == f"qborrow {qborrow.__version__}\n"
+
+
+def test_every_name_the_benchmark_binds_is_bound():
+    # perfbench's tracer wraps each function named in its LAYER_OF wherever
+    # a qborrow module binds it, and its workers call these attributes of
+    # qborrow.cli, so a refactor that drops one would break the benchmark.
+    # The tracer is run from its path, which writes no bytecode
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    bound = {
+        attr
+        for info in pkgutil.iter_modules(qborrow.__path__)
+        for attr, value in vars(importlib.import_module(f"qborrow.{info.name}")).items()
+        if callable(value) and getattr(value, "__module__", "").startswith("qborrow.")
+    }
+    assert set(runpy.run_path(str(path))["LAYER_OF"]) - bound == set()
+    cli = importlib.import_module("qborrow.cli")
+    for name in ("main", "cmd_verify", "verify_circuit", "witness_violates", "track", "solve"):
+        assert callable(getattr(cli, name, None)), name
 
 
 def test_console_script_installed():

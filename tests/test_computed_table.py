@@ -140,9 +140,10 @@ def test_the_table_absorbs_the_repeated_steps_of_mcx(m, factored, entries):
     assert len(store._xor2) == entries <= calls["pairs"]
 
 
-# one xor step each, x XOR y with y sharing conjuncts with a term t of x:
-# (name, x, y, whether `_xor_pair` settles it).  W is an AND too wide to
-# flatten, so it stays one conjunct of a product
+# one xor step each, x XOR y with y sharing conjuncts with a term t of x,
+# or with an operand `false` (F) or `true` (T) on either side, as the
+# cofactoring of cond2 makes: (name, x, y, whether `_xor_pair` settles it).
+# W is an AND too wide to flatten, so it stays one conjunct of a product
 FACTOR_STEPS = [
     ("one term", "AND(v0, v1)", "AND(v0, v2)", True),
     ("beside a term", "XOR(AND(v0, v1), v3)", "AND(v0, v2)", True),
@@ -161,13 +162,21 @@ FACTOR_STEPS = [
     ("A XOR B factors", "XOR(AND(v0, XOR(AND(v1, v2), v3)), v5)", "AND(v0, v1, v4)", False),
     ("A and B are XORs", "AND(v0, XOR(v1, v2))", "AND(v0, XOR(v1, v3))", False),
     ("y shares with two terms", "XOR(AND(v0, v1), AND(v2, v3))", "AND(v0, v2)", False),
+    ("false and a variable", "F", "v0", True),
+    ("an XOR and false", "XOR(AND(v0, v1), v3)", "F", True),
+    ("false and a negated XOR", "F", "NOT(XOR(v0, v1))", True),
+    ("true and an XOR", "T", "XOR(AND(v0, v1), v3)", True),
+    ("true and a negated product", "T", "NOT(AND(v0, v1))", True),
+    ("a negated variable and false", "NOT(v0)", "F", True),
+    ("true and false", "T", "F", True),
 ]
 
 
 def build(store: BoolStore, text: str) -> BoolExpr:
-    """The node of `text`, an expression over v0..v7 and W, through the
-    store's constructors."""
+    """The node of `text`, an expression over v0..v7, W, F and T, through
+    the store's constructors."""
     names = {f"v{i}": store.var(QubitId("v", i + 1, i, f"v{i + 1}")) for i in range(8)}
+    names["F"], names["T"] = store.false, store.true
     names["W"] = store.and_([names[f"v{i}"] for i in range(1, 6)])
     names["AND"] = lambda *args: store.and_(list(args))
     names["XOR"] = lambda *args: store.xor(list(args))

@@ -3,6 +3,7 @@ decides cond1 then cond2; budgets, size caps and self-checks end in their
 documented exit codes."""
 
 import os
+import re
 import shlex
 import stat
 import subprocess
@@ -91,21 +92,23 @@ ENCODE_ONCE_PROGRAMS = {
 
 
 @pytest.mark.parametrize(
-    "program, emit, calls, folded",
+    "program, emit, calls, folded, encodings",
     [
-        pytest.param("adder10-del1", False, 1, 0, id="adder10-del1"),
-        pytest.param("adder10-del1", True, 18, 17, id="adder10-del1-emit"),
-        pytest.param("leaky", False, 2, 1, id="leaky"),
-        pytest.param("leaky", True, 2, 1, id="leaky-emit"),
+        pytest.param("adder10-del1", False, 1, 0, 1, id="adder10-del1"),
+        pytest.param("adder10-del1", True, 2, 1, 18, id="adder10-del1-emit"),
+        pytest.param("leaky", False, 2, 1, 1, id="leaky"),
+        pytest.param("leaky", True, 2, 1, 2, id="leaky-emit"),
     ],
 )
-def test_each_condition_is_encoded_once(monkeypatch, tmp_path, program, emit, calls, folded):
-    # adder n=10 without gate 1: the support sweep decides its eight
-    # restored qubits, so only cond1 of a.9 is built, and decided sat;
-    # written, all 18 conditions are built, cond2 of a.9 only to be
-    # written.  leaky: cond1 of a folds to false and cond2 is decided.
-    # The .cnf writer and the solver share one encoding, and a condition
-    # that folds to false needs one only to be written
+def test_each_condition_is_encoded_once(
+    monkeypatch, tmp_path, program, emit, calls, folded, encodings
+):
+    # adder n=10 without gate 1: the support sweep finds its eight restored
+    # qubits, whose 16 conditions are false unbuilt, so only cond1 of a.9
+    # is built, and decided sat; written, cond2 of a.9 is built too, only
+    # to be written, and folds to false.  leaky: cond1 of a folds to false
+    # and cond2 is decided.  The .cnf writer and the solver share one
+    # encoding, and a condition that is false needs one only to be written
     original, encoded, built = verify.tseitin, [], []
     monkeypatch.setattr(verify, "tseitin", lambda e: encoded.append(e) or original(e))
     for name in ("cond_restore_zero", "cond_restore_plus"):
@@ -113,11 +116,11 @@ def test_each_condition_is_encoded_once(monkeypatch, tmp_path, program, emit, ca
         monkeypatch.setattr(verify, name, lambda q, s, b=build: built.append(b(q, s)) or built[-1])
     path = tmp_path / f"{program}.qbr"
     path.write_text(ENCODE_ONCE_PROGRAMS[program])
-    args = ["verify", str(path)] + (["--emit-dimacs", str(tmp_path / "d")] if emit else [])
-    assert main(args) == EXIT_UNSAFE
+    d = tmp_path / "d"
+    assert main(["verify", str(path)] + (["--emit-dimacs", str(d)] if emit else [])) == EXIT_UNSAFE
     assert len(built) == calls
     assert sum(e.op == "false" for e in built) == folded
-    assert len(encoded) == calls - (0 if emit else folded)
+    assert len(encoded) == encodings == (len(list(d.iterdir())) if emit else calls - folded)
     formulas = [e for e in encoded if e.op not in ("false", "true")]
     assert formulas and len(set(formulas)) == len(formulas)
 
@@ -139,17 +142,16 @@ SHIM_SOLVER = "cmd:" + shlex.join(SHIM)
         ("adder64", "internal", False, EXIT_SAFE, False),
         ("mcx64", "internal", False, EXIT_SAFE, False),
         ("leaky", "internal", False, EXIT_UNSAFE, True),  # a keeps its value, but q5 depends on it
-        ("adder64", "internal", True, EXIT_SAFE, True),
-        ("cccnot", SHIM_SOLVER, False, EXIT_SAFE, True),
+        ("adder64", "internal", True, EXIT_SAFE, False),
+        ("cccnot", SHIM_SOLVER, False, EXIT_SAFE, False),
     ],
     ids=["adder64", "mcx64", "leaky", "adder64-emit", "cccnot-cmd"],
 )
 def test_the_support_sweep_decides_restored_qubits_unbuilt(
     monkeypatch, tmp_path, program, solver, emit, code, builds
 ):
-    # with the internal solver and no emit directory, a restored qubit is
-    # decided by `restored_gids` as its two folded conditions would be;
-    # an external solver and an emit directory still get both
+    # under every solver and emit directory, both conditions of a qubit
+    # that `restored_gids` names are false without being built
     calls = {"cond_restore_zero": [], "cond_restore_plus": []}
     for name, log in calls.items():
         build = getattr(verify, name)
@@ -161,6 +163,38 @@ def test_the_support_sweep_decides_restored_qubits_unbuilt(
     verified = elaborate_source(RESTORED_PROGRAMS[program]).verify_qubits()
     assert verified
     assert calls == dict.fromkeys(calls, verified if builds else [])
+
+
+@pytest.mark.parametrize("program", RESTORED_PROGRAMS)
+def test_unbuilt_restored_conditions_write_and_decide_as_built_ones(
+    monkeypatch, tmp_path, capsys, program
+):
+    # `verify --emit-dimacs --emit-smtlib` with the internal solver and with
+    # the shim, once as is and once with no qubit found restored, so that
+    # every condition is built: the same files, reports and stdout (timing
+    # aside).  adder64 runs the internal solver only: its 126 conditions
+    # would each take a shim process of about 0.5 s
+    path = tmp_path / f"{program}.qbr"
+    path.write_text(RESTORED_PROGRAMS[program])
+    solvers = ["internal"] + ([SHIM_SOLVER] if program != "adder64" else [])
+    timing = rb'(?<=_ms": )[0-9.e+-]+|[0-9.]+(?= ms)'
+
+    def runs(out):
+        results = []
+        for i, solver in enumerate(solvers):
+            report, emitted = out / f"{i}.json", out / str(i)
+            args = ["verify", str(path), "--solver", solver, "--report", str(report)]
+            args += ["--emit-dimacs", str(emitted / "cnf"), "--emit-smtlib", str(emitted / "smt")]
+            code = main(args)
+            stdout, report = capsys.readouterr().out.encode(), report.read_bytes()
+            written = {p.relative_to(emitted): p.read_bytes() for p in emitted.glob("*/*")}
+            assert written
+            results.append((code, written, *(re.sub(timing, b"0", t) for t in (stdout, report))))
+        return results
+
+    swept = runs(tmp_path / "swept")
+    monkeypatch.setattr(verify, "restored_gids", lambda state, qubits: set())
+    assert runs(tmp_path / "built") == swept
 
 
 @settings(max_examples=100, deadline=None)
