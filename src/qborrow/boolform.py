@@ -23,14 +23,16 @@ while the circuit is tracked.  AND flattens only narrow AND children
 nodes that these rules miss; the solver still decides them.
 
 A gate step is a two-operand AND and a two-operand XOR, which `and_` and
-`xor` settle directly, and `xor` keeps a computed table of its two-operand
-results (Brace, Rudell & Bryant, DAC 1990), so a step repeated on the same
-operands is one lookup.  A step that factors with one term of its target is
-settled too, by the general loop's own calls in its order, and so is an
-X gate's step, x XOR true, which is NOT x; a step that factors more than
-once goes through the general loop.  Every path gives the node the general
-loop gives and makes the nodes it makes in the same order, so the DAG and
-its serials do not depend on which path built it.
+`xor` settle directly, and tracking keeps a computed table of Toffoli steps
+(Brace, Rudell & Bryant, DAC 1990) keyed by the formulas of the target and
+both controls, so a step repeated on the same formulas, as uncomputing
+repeats computing, is one lookup that makes no node.  A step that factors
+with one term of its target is settled too, by the general loop's own calls
+in its order, and so is an X gate's step, x XOR true, which is NOT x; a
+step that factors more than once goes through the general loop.  Every
+path gives the node the general loop gives and makes the nodes it makes in
+the same order, so the DAG and its serials do not depend on which path
+built it.
 """
 
 from bisect import bisect
@@ -104,8 +106,9 @@ class BoolStore:
         self._n_nodes = 0
         self._n_vars = 0  # support bits given so far
         # computed table (Brace, Rudell & Bryant, DAC 1990): the result of
-        # every two-operand xor, keyed by its operands as given
-        self._xor2: dict[tuple[BoolExpr, BoolExpr], BoolExpr] = {}
+        # every Toffoli step `_run` has taken, keyed by the formulas of its
+        # target and its two controls
+        self._steps: dict[tuple[BoolExpr, BoolExpr, BoolExpr], BoolExpr] = {}
         self.false = self._intern("false", (), None)
         self.true = self._intern("true", (), None)
 
@@ -184,13 +187,11 @@ class BoolStore:
         return seen.pop() if seen else self.true
 
     def xor(self, children: list[BoolExpr]) -> BoolExpr:
-        if len(children) != 2:
-            return self._xor(children)
-        key = (children[0], children[1])
-        node = self._xor2.get(key)
-        if node is None:
-            node = self._xor2[key] = self._xor_pair(*key) or self._xor(children)
-        return node
+        if len(children) == 2:
+            node = self._xor_pair(*children)
+            if node is not None:
+                return node
+        return self._xor(children)
 
     def _xor_pair(self, x: BoolExpr, y: BoolExpr, factor: bool = True) -> BoolExpr | None:
         """x XOR y when it is a gate's step: two equal operands, a term that
@@ -504,20 +505,29 @@ def init_state(c: FlatCircuit) -> FormulaState:
 
 
 def _run(value, gates: Iterable[McxGate], store: BoolStore) -> None:
-    """Step `gates` over formulas indexed by gid, in a list or a dict: a
-    QubitId hashes through Python code.  X has no controls: its
-    conjunction is `true`, and the xor negates.  Each step calls `and_`
-    and `xor`, bound once here, and nothing else, so the nodes and their
-    order are theirs, and a check wrapped around the two sees every step."""
-    and_, xor = store.and_, store.xor
+    """Step `gates` (at most two controls each, as `elaborate` makes them)
+    over formulas indexed by gid, in a list or a dict: a QubitId hashes
+    through Python code.  A CNOT xors its control's formula into its target
+    (`and_` of one node is that node) and an X xors `true`.  A Toffoli
+    looks its (target, control, control) formulas up in the store's step
+    table and calls `and_` and `xor`, bound once here, only for a step not
+    seen before, so a check wrapped around the two sees every distinct
+    step; a repeated step would have made no node."""
+    and_, xor, steps, true = store.and_, store.xor, store._steps, store.true
     for controls, target in gates:
-        if len(controls) == 2:  # a Toffoli: no list built per control
-            a, b = controls
-            conj = and_([value[a.gid], value[b.gid]])
-        else:
-            conj = and_([value[c.gid] for c in controls])
         t = target.gid
-        value[t] = xor([value[t], conj])
+        if len(controls) == 2:
+            a, b = controls
+            key = (value[t], value[a.gid], value[b.gid])
+            node = steps.get(key)
+            if node is None:
+                node = steps[key] = xor([key[0], and_([key[1], key[2]])])
+            value[t] = node
+        elif controls:
+            (c,) = controls
+            value[t] = xor([value[t], value[c.gid]])
+        else:
+            value[t] = xor([value[t], true])
 
 
 def apply_gate(s: FormulaState, g: McxGate) -> FormulaState:
@@ -528,8 +538,8 @@ def apply_gate(s: FormulaState, g: McxGate) -> FormulaState:
 
 
 def track(c: FlatCircuit) -> FormulaState:
-    """The formulas after every gate of `c`, from init_state: one
-    `and_` and one `xor` per gate, over one list indexed by gid."""
+    """The formulas after every gate of `c`, from init_state, over one
+    list indexed by gid."""
     state = init_state(c)
     value = list(state.formulas.values())  # init_state keys them in gid order
     _run(value, c.gates, state.store)

@@ -92,6 +92,9 @@ class QubitId:
     def __repr__(self):
         return f"QubitId({self.label})"
 
+    def __hash__(self):  # gid alone names a qubit; the generated hash takes all four fields
+        return self.gid
+
 
 class McxGate(NamedTuple):
     """NOT on `target` when every control is 1; X is the gate with no controls."""

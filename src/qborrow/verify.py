@@ -5,10 +5,10 @@ takes cond1 and then cond2 down one path: build it from the tracked
 formulas, write it when an emit directory is given, decide it with the
 internal CDCL solver or an external SMT-LIB2 solver, and fold the outcome
 into the qubit's verdict, built as one `Verdict` when the qubit is settled.
-A condition that folded to `false` is unsat without a solver call, unless
-the solver is external.  Both conditions of a qubit that `restored_gids`
-names (its output is its own variable, which no other output holds) are
-`false` without being built.  The first satisfiable condition means Unsafe,
+A condition that folded to `false` is unsat without a solver call, under
+either solver; its `.smt2` file is still written.  Both conditions of a
+qubit that `restored_gids` names (its output is its own variable, which no
+other output holds) are `false` without being built.  The first satisfiable condition means Unsafe,
 and cond2 is then built only to be written; both unsatisfiable means Safe; a
 budget that runs out means Unknown.  `cross_check` compares the decided
 verdicts with exhaustive enumeration (`exact_safe`), for `--oracle`.
@@ -350,7 +350,7 @@ def verify_circuit(
                     script.write_text(emit_smtlib(e))
                 if status == "unsafe":  # cond2 was built only to be written
                     break
-            if e.op == "false" and external is None:  # what most conditions fold to
+            if e.op == "false":  # what most conditions fold to: unsat, no solver asked
                 nodes += 1
                 n_clauses += 1  # the empty clause
                 continue

@@ -168,13 +168,13 @@ def fake_solver(tmp_path, body):
 
 def test_external_solver_unsat_everywhere(qbr, tmp_path):
     exe = fake_solver(tmp_path, "echo unsat")
-    path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
+    path = qbr("leaky.qbr", LEAKY_CCCNOT_SRC)
     assert main(["verify", path, "--solver", f"cmd:{exe}"]) == EXIT_SAFE
 
 
 def test_external_solver_sat_everywhere(qbr, tmp_path):
     exe = fake_solver(tmp_path, "echo sat")
-    path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
+    path = qbr("leaky.qbr", LEAKY_CCCNOT_SRC)
     # external sat verdicts carry no witness but still mean unsafe
     assert main(["verify", path, "--solver", f"cmd:{exe}"]) == EXIT_UNSAFE
 
@@ -182,25 +182,26 @@ def test_external_solver_sat_everywhere(qbr, tmp_path):
 def test_external_solver_garbage_is_unknown(qbr, tmp_path, capsys):
     # "unsatisfiable" must not be mistaken for "unsat": whole-line match only
     exe = fake_solver(tmp_path, "echo unsatisfiable")
-    path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
+    path = qbr("leaky.qbr", LEAKY_CCCNOT_SRC)
     assert main(["verify", path, "--solver", f"cmd:{exe}"]) == EXIT_UNKNOWN
     assert "Unknown" in capsys.readouterr().out
 
 
 def test_external_solver_output_not_utf8_is_unknown(qbr, tmp_path, capsys):
     exe = fake_solver(tmp_path, r"printf '\377\n'")
-    path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
+    path = qbr("leaky.qbr", LEAKY_CCCNOT_SRC)
     assert main(["verify", path, "--solver", f"cmd:{exe}"]) == EXIT_UNKNOWN
     assert "a: Unknown (budget: output)" in capsys.readouterr().out
-    assert main(["bench", "mcx", "--sizes", "4", "--solver", f"cmd:{exe}"]) == EXIT_UNKNOWN
+    # every condition of a bench program is false, answered without the solver
+    assert main(["bench", "mcx", "--sizes", "4", "--solver", f"cmd:{exe}"]) == EXIT_SAFE
     out = capsys.readouterr().out
-    assert out.splitlines()[-1].split()[:5] == ["mcx", "4", "9", "32", "unknown"]
+    assert out.splitlines()[-1].split()[:5] == ["mcx", "4", "9", "32", "all-safe"]
 
 
 def test_solver_timeout_kills_its_process_group(qbr, tmp_path, capsys):
     mark = tmp_path / "MARK"
     exe = fake_solver(tmp_path, f"(sleep 1; touch {shlex.quote(str(mark))}) & sleep 5")
-    path = qbr("twice.qbr", "borrow a;\nX[a];\nX[a];\nrelease a;\n")
+    path = qbr("leaky.qbr", LEAKY_CCCNOT_SRC)
     args = ["verify", path, "--solver", f"cmd:{exe}", "--budget-seconds", "0.3"]
     assert main(args) == EXIT_UNKNOWN
     assert "a: Unknown (budget: time)" in capsys.readouterr().out
@@ -228,7 +229,7 @@ def test_ring_scripts_get_the_internal_verdict(qbr, tmp_path, capsys):
 
 
 def test_external_solver_missing_binary(qbr):
-    path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
+    path = qbr("leaky.qbr", LEAKY_CCCNOT_SRC)
     assert main(["verify", path, "--solver", "cmd:/nonexistent/solver"]) == EXIT_UNKNOWN
 
 
@@ -247,7 +248,7 @@ def test_external_solver_leaves_no_script(qbr, tmp_path, monkeypatch, body, code
     scripts.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scripts))
     exe = "/nonexistent/solver" if body is None else fake_solver(tmp_path, body)
-    path = qbr("safe.qbr", SAFE_CCCNOT_SRC)
+    path = qbr("leaky.qbr", LEAKY_CCCNOT_SRC)
     # the solver sees a nonempty script, which is gone once verify returns
     assert main(["verify", path, "--solver", f"cmd:{exe}"]) == code
     assert list(scripts.glob("qborrow.*.smt2")) == []

@@ -1,9 +1,9 @@
-"""The two-operand kernels of `BoolStore.and_` and `BoolStore.xor`, and the
-computed table in front of `xor`, against the general paths `_and` and
-`_xor`: a circuit tracked either way must build the same store, node for
-node (op, argument serials, qubit, support bits), and the same outputs.
-Tseitin numbers its variables from the DAG, so equal stores give equal
-CNFs, verdicts and witnesses."""
+"""The two-operand kernels of `BoolStore.and_` and `BoolStore.xor` against
+the general paths `_and` and `_xor`, and the step table of `track` against
+one `and_` and one `xor` call per gate: a circuit tracked either way must
+build the same store, node for node (op, argument serials, qubit, support
+bits), and the same outputs.  Tseitin numbers its variables from the DAG,
+so equal stores give equal CNFs, verdicts and witnesses."""
 
 from unittest import mock
 
@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 
 from qborrow.benchgen import adder_source, mcx_source
-from qborrow.boolform import BoolExpr, BoolStore, cond_restore_plus, cond_restore_zero, track
+from qborrow.boolform import (
+    BoolExpr,
+    BoolStore,
+    FormulaState,
+    apply_gate,
+    cond_restore_plus,
+    cond_restore_zero,
+    init_state,
+    track,
+)
 from qborrow.elaborator import QubitId, elaborate_source
 
 from conftest import mutant_sources, store_nodes
@@ -100,18 +109,66 @@ def test_kernels_build_the_general_store_on_benchmark_programs(source):
     assert tracked(source) == tracked_generally(source)
 
 
+MUTANTS = mutant_sources(adder_source(10)) + mutant_sources(mcx_source(9))
+
+
 def test_kernels_build_the_general_store_on_mutants():
-    mutants = mutant_sources(adder_source(10)) + mutant_sources(mcx_source(9))
-    assert len(mutants) == 181
-    for source in mutants:
+    assert len(MUTANTS) == 181
+    for source in MUTANTS:
         assert tracked(source) == tracked_generally(source)
 
 
+def every_step(c) -> FormulaState:
+    """The formulas after every gate of `c`, from init_state, by one `and_`
+    and one `xor` call per gate: no step is looked up."""
+    state = init_state(c)
+    store, value = state.store, dict(state.formulas)
+    for controls, target in c.gates:
+        value[target] = store.xor([value[target], store.and_([value[q] for q in controls])])
+    return FormulaState(store, value)
+
+
+def gate_by_gate(c) -> FormulaState:
+    state = init_state(c)
+    for g in c.gates:
+        state = apply_gate(state, g)
+    return state
+
+
+def assert_twin_stores(source: str) -> None:
+    """`track`, and `apply_gate` gate by gate, each on its own store, give
+    the store listing and output serials of `every_step`."""
+    c = elaborate_source(source)
+    by_track, by_gate, reference = [
+        (listing(s.store), [s[q].serial for q in c.qubits])
+        for s in (track(c), gate_by_gate(c), every_step(c))
+    ]
+    assert by_track == reference
+    assert by_gate == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_the_step_table_builds_the_store_of_every_step_on_random_circuits(source):
+    assert_twin_stores(source)
+
+
+@pytest.mark.parametrize("source", PROGRAMS.values(), ids=PROGRAMS.keys())
+def test_the_step_table_builds_the_store_of_every_step_on_benchmark_programs(source):
+    assert_twin_stores(source)
+
+
+def test_the_step_table_builds_the_store_of_every_step_on_mutants():
+    for source in MUTANTS:
+        assert_twin_stores(source)
+
+
 @pytest.mark.parametrize(
-    "m, factored, entries", [(64, 124, 376), (256, 508, 1528), (1024, 2044, 6136)]
+    "m, factored, new_steps", [(64, 124, 376), (256, 508, 1528), (1024, 2044, 6136)]
 )
-def test_the_table_absorbs_the_repeated_steps_of_mcx(m, factored, entries):
+def test_the_table_absorbs_the_repeated_steps_of_mcx(m, factored, new_steps):
     c = elaborate_source(mcx_source(m))
+    assert all(len(g.controls) == 2 for g in c.gates)
     calls = {"pairs": 0, "general": 0, "factored": 0}
     xor, general, split = BoolStore.xor, BoolStore._xor, BoolStore._split
 
@@ -133,11 +190,12 @@ def test_the_table_absorbs_the_repeated_steps_of_mcx(m, factored, entries):
         mock.patch.object(BoolStore, "_split", counted_split),
     ):
         store = track(c).store
-    # one two-operand xor a gate; the steps that factor and were not taken
-    # before are settled by `_xor_pair`, and none reaches the general loop,
-    # so every `_split` is a factoring step the kernel settled
-    assert calls == {"pairs": len(c.gates), "general": 0, "factored": factored}
-    assert len(store._xor2) == entries <= calls["pairs"]
+    # one two-operand xor for each Toffoli step not taken before, the rest
+    # answered by the step table; the steps that factor are settled by
+    # `_xor_pair`, and none reaches the general loop, so every `_split` is
+    # a factoring step the kernel settled
+    assert calls == {"pairs": new_steps, "general": 0, "factored": factored}
+    assert len(store._steps) == new_steps < len(c.gates)
 
 
 # one xor step each, x XOR y with y sharing conjuncts with a term t of x,
@@ -209,7 +267,7 @@ def test_the_factoring_kernel_builds_the_general_store(x, y, settled):
 def test_each_store_has_its_own_table():
     c = elaborate_source(mcx_source(16))
     first, second = track(c).store, track(c).store
-    assert first._xor2 is not second._xor2
-    assert len(first._xor2) == len(second._xor2) and len(first) == len(second)
-    assert not set(map(id, first._xor2.values())) & set(map(id, second._xor2.values()))
-    assert not BoolStore()._xor2
+    assert first._steps is not second._steps
+    assert len(first._steps) == len(second._steps) and len(first) == len(second)
+    assert not set(map(id, first._steps.values())) & set(map(id, second._steps.values()))
+    assert not BoolStore()._steps

@@ -172,11 +172,10 @@ def test_unbuilt_restored_conditions_write_and_decide_as_built_ones(
     # `verify --emit-dimacs --emit-smtlib` with the internal solver and with
     # the shim, once as is and once with no qubit found restored, so that
     # every condition is built: the same files, reports and stdout (timing
-    # aside).  adder64 runs the internal solver only: its 126 conditions
-    # would each take a shim process of about 0.5 s
+    # aside)
     path = tmp_path / f"{program}.qbr"
     path.write_text(RESTORED_PROGRAMS[program])
-    solvers = ["internal"] + ([SHIM_SOLVER] if program != "adder64" else [])
+    solvers = ["internal", SHIM_SOLVER]
     timing = rb'(?<=_ms": )[0-9.e+-]+|[0-9.]+(?= ms)'
 
     def runs(out):
@@ -265,12 +264,34 @@ def test_external_solver_reads_the_emitted_scripts(monkeypatch, tmp_path):
     exe = tmp_path / "solver.sh"
     exe.write_text(f'#!/bin/sh\necho "$1" >> {log}\necho unsat\n')
     exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
-    path = tmp_path / "safe.qbr"
-    path.write_text(SAFE_CCCNOT_SRC)
+    path = tmp_path / "leaky.qbr"
+    path.write_text(LEAKY_CCCNOT_SRC)
     d = tmp_path / "smt"
     assert main(["verify", str(path), "--solver", f"cmd:{exe}", "--emit-smtlib", str(d)]) == EXIT_SAFE
-    assert log.read_text().split() == [str(d / "safe.a.cond1.smt2"), str(d / "safe.a.cond2.smt2")]
+    # cond1 of a is false: written, and answered without the solver
+    assert sorted(p.name for p in d.iterdir()) == ["leaky.a.cond1.smt2", "leaky.a.cond2.smt2"]
+    assert log.read_text().split() == [str(d / "leaky.a.cond2.smt2")]
     assert list(scripts.glob("qborrow.*.smt2")) == []
+
+
+def test_a_false_condition_starts_no_external_solver(tmp_path):
+    # adder n=64: its 126 conditions are false, each answered unsat with the
+    # internal path's sizes and written under --emit-smtlib, and the solver,
+    # which would answer sat, is never started
+    starts = tmp_path / "starts.log"
+    exe = tmp_path / "solver.sh"
+    exe.write_text(f'#!/bin/sh\necho "$1" >> {starts}\necho sat\n')
+    exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+    c = elaborate_source(adder_source(64))
+    d = tmp_path / "smt"
+    external = verify_circuit(c, solver=f"cmd:{exe}", emit_smtlib_dir=d)
+    assert external.verdicts == verify_circuit(c).verdicts
+    assert {(v.formula_nodes, v.cnf_vars, v.cnf_clauses, v.solve_ms) for v in external.verdicts} == {
+        (2, 0, 2, 0.0),
+        (0, 0, 0, 0.0),  # borrow@ qubits
+    }
+    assert len(list(d.glob("*.smt2"))) == 126
+    assert not starts.exists()
 
 
 # --------------------------------------------------------------------------
