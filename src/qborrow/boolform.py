@@ -156,6 +156,8 @@ class BoolStore:
         return self._intern("not", (e,), None)
 
     def and_(self, children: list[BoolExpr]) -> BoolExpr:
+        if len(children) == 1:  # an interned node is its own product
+            return children[0]
         if len(children) == 2:  # a gate's product of two controls
             a, b = children
             if a.op not in ("true", "false", "and") and b.op not in ("true", "false", "and"):

@@ -14,7 +14,7 @@ same unroll steps and give the same gates.
 """
 
 import enum
-from dataclasses import dataclass
+import gc
 from functools import partial
 from itertools import chain, repeat
 from typing import Mapping, NamedTuple
@@ -29,6 +29,22 @@ INT64_MIN = -(2**63)
 # in all registers, and unroll steps (one per gate and one per loop iteration).
 MAX_QUBITS = 2**20
 MAX_UNROLL_STEPS = 2**21
+
+
+def without_gc(fn, *args):
+    """fn(*args) with Python's cyclic garbage collector paused, restoring
+    the caller's collector state on every exit, exceptions included.  The
+    gate list and the formula DAG are acyclic, so reference counting frees
+    all of them and the collector's passes would only rescan live objects
+    as they grow.  The collector is process-wide, so other threads see the
+    pause too."""
+    if not gc.isenabled():
+        return fn(*args)
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        gc.enable()
 
 
 class ElabError(SourceError):
@@ -82,18 +98,29 @@ class QubitRole(enum.Enum):
     CLEAN = "alloc"  # starts in |0>
 
 
-@dataclass(frozen=True)
 class QubitId:
-    name: str  # register name
-    index: int  # 1-based position within the register
-    gid: int  # dense global id, declaration order
-    label: str  # display name: 'a.3', or bare 'anc' for size-1 registers
+    """One qubit of a circuit, equal only to a QubitId with the same fields."""
+
+    __slots__ = ("name", "index", "gid", "label")
+
+    def __init__(self, name: str, index: int, gid: int, label: str):
+        self.name = name  # register name
+        self.index = index  # 1-based position within the register
+        self.gid = gid  # dense global id, declaration order
+        self.label = label  # display name: 'a.3', or bare 'anc' for size-1 registers
+
+    def __eq__(self, other):
+        if type(other) is not QubitId:
+            return NotImplemented
+        return (self.name, self.index, self.gid, self.label) == (
+            other.name, other.index, other.gid, other.label
+        )
+
+    def __hash__(self):  # gid alone names a qubit
+        return self.gid
 
     def __repr__(self):
         return f"QubitId({self.label})"
-
-    def __hash__(self):  # gid alone names a qubit; the generated hash takes all four fields
-        return self.gid
 
 
 class McxGate(NamedTuple):
@@ -278,7 +305,14 @@ class _Elaborator:
         self.steps_left = MAX_UNROLL_STEPS
 
     def run(self, ast: ProgramAst) -> FlatCircuit:
-        for s in ast.statements:
+        # the collector resumes before the FlatCircuit is allocated, so its
+        # one catch-up pass, over the gates and the circuit's tuples, is
+        # charged to elaboration and not to whoever allocates next
+        return FlatCircuit(**without_gc(self.fields, ast.statements))
+
+    def fields(self, statements: tuple[Stmt, ...]) -> dict:
+        """Elaborate the statements; the FlatCircuit's fields by name."""
+        for s in statements:
             self.stmt(s)
         for name, reg in self.registers.items():
             if name not in self.released:
@@ -287,7 +321,7 @@ class _Elaborator:
                     f"register '{name}' was never released; "
                     "implicitly released at program end"
                 )
-        return FlatCircuit(
+        return dict(
             qubits=tuple(self.qubits),
             roles=tuple(self.roles),
             registers=tuple(self.registers.values()),

@@ -5,13 +5,16 @@ takes cond1 and then cond2 down one path: build it from the tracked
 formulas, write it when an emit directory is given, decide it with the
 internal CDCL solver or an external SMT-LIB2 solver, and fold the outcome
 into the qubit's verdict, built as one `Verdict` when the qubit is settled.
-A condition that folded to `false` is unsat without a solver call, under
-either solver; its `.smt2` file is still written.  Both conditions of a
-qubit that `restored_gids` names (its output is its own variable, which no
-other output holds) are `false` without being built.  The first satisfiable condition means Unsafe,
-and cond2 is then built only to be written; both unsatisfiable means Safe; a
-budget that runs out means Unknown.  `cross_check` compares the decided
-verdicts with exhaustive enumeration (`exact_safe`), for `--oracle`.
+A condition that folded to `false` is unsat, and one that folded to `true`
+sat with the empty witness, without a solver call under either solver; its
+`.smt2` file is still written.  Both conditions of a qubit that
+`restored_gids` names (its output is its own variable, which no other output
+holds) are `false` without being built.  The first satisfiable condition
+means Unsafe, and cond2 is then built only to be written; both
+unsatisfiable means Safe; a budget that runs out means Unknown.  Tracking
+and deciding run with the cyclic garbage collector paused (`without_gc`).
+`cross_check` compares the decided verdicts with exhaustive enumeration
+(`exact_safe`), for `--oracle`.
 """
 
 import math
@@ -29,7 +32,7 @@ from .boolform import (
     restored_gids,
     track,
 )
-from .elaborator import FlatCircuit, QubitId, QubitRole, simulate
+from .elaborator import FlatCircuit, QubitId, QubitRole, simulate, without_gc
 from .errors import ResourceLimit, SelfCheckError, UsageError
 from .satcore import (
     DEFAULT_BUDGET_CONFLICTS,
@@ -287,36 +290,17 @@ def cross_check(circuit: FlatCircuit, report: Report) -> bool:
 # the driver
 
 
-def verify_circuit(
+def _decide_all(
     circuit: FlatCircuit,
-    *,
-    program: str = "<memory>",
-    solver: str = "internal",
-    emit_dimacs_dir=None,
-    emit_smtlib_dir=None,
-    budget_conflicts: int = DEFAULT_BUDGET_CONFLICTS,
-    budget_seconds: float = DEFAULT_BUDGET_SECONDS,
-) -> Report:
-    """Decide safety of every borrow-verified qubit of an elaborated circuit:
-    build, write (given an emit directory) and decide cond1, then cond2."""
-    t_start = time.perf_counter()
-    external = None
-    if solver.startswith("cmd:"):
-        import shlex
-
-        try:
-            external = shlex.split(solver[4:])
-        except ValueError as exc:  # an unbalanced quote
-            raise UsageError(str(exc))
-        if not external:
-            raise UsageError("empty external solver command")
-    elif solver != "internal":
-        raise UsageError(f"unknown solver {solver!r} (expected internal or cmd:<exe>)")
-    if not 0 <= budget_seconds < math.inf:  # also false for nan
-        raise UsageError(f"time budget must be finite and >= 0 seconds, got {budget_seconds}")
-    if budget_conflicts < 0:
-        raise UsageError(f"conflict budget must be >= 0, got {budget_conflicts}")
-
+    program: str,
+    external: list[str] | None,
+    emit_dimacs_dir,
+    emit_smtlib_dir,
+    budget_conflicts: int,
+    budget_seconds: float,
+) -> list[Verdict]:
+    """The verdicts of the borrow-verified qubits.  The formula store lives
+    in this frame alone, so it is freed when the call returns."""
     state = track(circuit)
     emitting = emit_dimacs_dir is not None or emit_smtlib_dir is not None
     if emitting:
@@ -355,12 +339,12 @@ def verify_circuit(
                 n_clauses += 1  # the empty clause
                 continue
             t0 = time.perf_counter()
-            model = None  # internal sat answers only
+            model = None  # in-process sat answers only
             # Unknown only when deciding; a size cap met building or writing
             # ends the run.  The sizes count the CNF a solve was given, even
             # one whose budget ran out.
             try:
-                if external is not None:
+                if external is not None and e.op != "true":
                     result = _decide_external(e, external, budget_seconds, script)
                 else:
                     cnf, root = encoded or tseitin(e)
@@ -386,8 +370,47 @@ def verify_circuit(
         verdicts.append(
             Verdict(q.label, status, violated, witness, budget, solve_ms, nodes, n_vars, n_clauses)
         )
-    verdicts += [Verdict(q.label, "skipped") for q in circuit.skipped_qubits()]
+    return verdicts
 
+
+def verify_circuit(
+    circuit: FlatCircuit,
+    *,
+    program: str = "<memory>",
+    solver: str = "internal",
+    emit_dimacs_dir=None,
+    emit_smtlib_dir=None,
+    budget_conflicts: int = DEFAULT_BUDGET_CONFLICTS,
+    budget_seconds: float = DEFAULT_BUDGET_SECONDS,
+) -> Report:
+    """Decide safety of every borrow-verified qubit of an elaborated circuit:
+    build, write (given an emit directory) and decide cond1, then cond2."""
+    t_start = time.perf_counter()
+    external = None
+    if solver.startswith("cmd:"):
+        import shlex
+
+        try:
+            external = shlex.split(solver[4:])
+        except ValueError as exc:  # an unbalanced quote
+            raise UsageError(str(exc))
+        if not external:
+            raise UsageError("empty external solver command")
+    elif solver != "internal":
+        raise UsageError(f"unknown solver {solver!r} (expected internal or cmd:<exe>)")
+    if not 0 <= budget_seconds < math.inf:  # also false for nan
+        raise UsageError(f"time budget must be finite and >= 0 seconds, got {budget_seconds}")
+    if budget_conflicts < 0:
+        raise UsageError(f"conflict budget must be >= 0, got {budget_conflicts}")
+
+    verdicts = without_gc(
+        _decide_all,
+        circuit, program, external, emit_dimacs_dir, emit_smtlib_dir,
+        budget_conflicts, budget_seconds,
+    )
+    # built with the collector running: they outlive the call, so a pause
+    # would only defer their scan
+    verdicts += [Verdict(q.label, "skipped") for q in circuit.skipped_qubits()]
     total_ms = _ms_since(t_start)
     config = {
         "solver": solver,

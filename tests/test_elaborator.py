@@ -15,6 +15,7 @@ from qborrow.elaborator import (
     IndexOutOfRange,
     McxGate,
     NonPositiveSize,
+    QubitId,
     QubitRole,
     RedeclaredRegister,
     RedefinedName,
@@ -59,6 +60,15 @@ def test_roles_and_partitions():
     }
     assert [q.label for q in c.verify_qubits()] == ["a"]
     assert [q.label for q in c.skipped_qubits()] == ["q.1", "q.2"]
+
+
+def test_qubit_ids_compare_by_all_four_fields_and_hash_by_gid():
+    q = QubitId("a", 3, 7, "a.3")
+    assert (q.name, q.index, q.gid, q.label) == ("a", 3, 7, "a.3")
+    assert q == QubitId("a", 3, 7, "a.3") and hash(q) == 7 and repr(q) == "QubitId(a.3)"
+    for other in (QubitId("b", 3, 7, "a.3"), QubitId("a", 3, 7, "b"), ("a", 3, 7, "a.3"), 7):
+        assert q != other
+    assert {q: 1}[QubitId("a", 3, 7, "a.3")] == 1
 
 
 def test_let_and_expressions():

@@ -2,6 +2,7 @@
 decides cond1 then cond2; budgets, size caps and self-checks end in their
 documented exit codes."""
 
+import gc
 import os
 import re
 import shlex
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 
 import qborrow
-from qborrow import boolform, elaborate_source, satcore, verify
+from qborrow import boolform, elaborate_source, elaborator, satcore, verify
 from qborrow.benchgen import adder_source, mcx_source
 from qborrow.boolform import BoolExpr, BoolStore
 from qborrow.cli import main
-from qborrow.errors import SelfCheckError
+from qborrow.elaborator import ElabError
+from qborrow.errors import ResourceLimit, SelfCheckError, UsageError
 from qborrow.verify import EXIT_DISAGREE, EXIT_SAFE, EXIT_UNKNOWN, EXIT_UNSAFE, verify_circuit
 
 from conftest import LEAKY_CCCNOT_SRC, SAFE_CCCNOT_SRC, SHIM, mutant_sources, ring_source
@@ -292,6 +294,97 @@ def test_a_false_condition_starts_no_external_solver(tmp_path):
     }
     assert len(list(d.glob("*.smt2"))) == 126
     assert not starts.exists()
+
+
+def test_a_true_condition_starts_no_external_solver(tmp_path, capsys):
+    # cond2 of `a` folds to true: answered sat with the empty witness, which
+    # is replayed, as the internal path answers it; written under
+    # --emit-smtlib, and the solver is never started
+    starts = tmp_path / "starts.log"
+    exe = tmp_path / "solver.sh"
+    exe.write_text(f'#!/bin/sh\necho "$1" >> {starts}\necho sat\n')
+    exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+    path = tmp_path / "copy.qbr"
+    path.write_text("borrow a; borrow@ b; CNOT[a, b]; release a; release b;\n")
+    c = elaborate_source(path.read_text())
+    d = tmp_path / "smt"
+    external = verify_circuit(c, solver=f"cmd:{exe}", emit_smtlib_dir=d)
+    fields = "qubit status violated witness budget formula_nodes cnf_vars cnf_clauses".split()
+    got = [tuple(getattr(v, k) for k in fields) for v in external.verdicts]
+    assert got == [tuple(getattr(v, k) for k in fields) for v in verify_circuit(c).verdicts]
+    assert got[0] == ("a", "unsafe", "cond2", {}, None, 2, 0, 1)
+    written = sorted(p.name for p in d.glob("*.smt2"))
+    assert written == ["circuit.a.cond1.smt2", "circuit.a.cond2.smt2"]
+    assert main(["verify", str(path), "--solver", f"cmd:{exe}"]) == EXIT_UNSAFE
+    assert capsys.readouterr().out.startswith("a: Unsafe via cond2, witness {}\n")
+    assert not starts.exists()
+
+
+# --------------------------------------------------------------------------
+# the cyclic collector is paused while the gate list and the DAG are built
+
+
+@pytest.fixture
+def gc_restored():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _resource_limit(monkeypatch):
+    monkeypatch.setattr(boolform, "MAX_NODES", 10)
+    verify_circuit(elaborate_source(SAFE_CCCNOT_SRC))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        (lambda mp: elaborate_source(SAFE_CCCNOT_SRC), None),
+        (lambda mp: verify_circuit(elaborate_source(LEAKY_CCCNOT_SRC)), None),
+        (lambda mp: elaborate_source("borrow a;\nCNOT[a, a];\n"), ElabError),
+        (lambda mp: verify_circuit(elaborate_source(SAFE_CCCNOT_SRC), budget_seconds=-1), UsageError),
+        (_resource_limit, ResourceLimit),
+    ],
+    ids=["elaborate", "verify", "elab-error", "usage-error", "resource-limit"],
+)
+def test_the_collector_is_left_as_found(monkeypatch, gc_restored, enabled, run, error):
+    (gc.enable if enabled else gc.disable)()
+    seen = []  # the collector's state inside each loop
+    stmt, track = elaborator._Elaborator.stmt, verify.track
+    monkeypatch.setattr(
+        elaborator._Elaborator, "stmt", lambda e, s: seen.append(gc.isenabled()) or stmt(e, s)
+    )
+    monkeypatch.setattr(verify, "track", lambda c: seen.append(gc.isenabled()) or track(c))
+    if error is None:
+        run(monkeypatch)
+    else:
+        with pytest.raises(error):
+            run(monkeypatch)
+    assert gc.isenabled() is enabled
+    assert seen and not any(seen)
+
+
+@pytest.mark.parametrize(
+    "source, options",
+    [
+        (adder_source(16), {}),
+        (mcx_source(64), {}),
+        (mutant_sources(adder_source(8))[4], {}),
+        (mutant_sources(adder_source(8))[17], {}),
+        (mutant_sources(mcx_source(9))[3], {}),
+        (ring_source(16), {}),
+        (LEAKY_CCCNOT_SRC, {"solver": SHIM_SOLVER}),
+        (ring_source(4), {"budget_conflicts": 1}),
+    ],
+    ids=["adder16", "mcx64", "mutant-a", "mutant-b", "mutant-c", "ring16", "leaky-cmd", "ring-budget"],
+)
+def test_verifying_leaves_no_cyclic_garbage(source, options):
+    # the gate list and the DAG are freed by reference counting alone, so
+    # pausing the collector while they are built holds no memory it would free
+    gc.collect()
+    verify_circuit(elaborate_source(source), **options)
+    assert gc.collect() == 0
 
 
 # --------------------------------------------------------------------------
